@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class FormatError(ValueError):
@@ -235,8 +235,9 @@ def parse_wpoc(text: str) -> WeightedGraph:
     if n < 0:
         raise FormatError("missing 'p wpoc <n> <m>' line")
     if len(weights) != n:
-        missing = sorted(set(range(1, n + 1)) - set(weights))
-        raise FormatError(f"missing 'v' line for vertex {missing[0]}")
+        # ids are distinct and in 1..n, so one of the first len(weights) + 1 is absent
+        missing = next(v for v in range(1, len(weights) + 2) if v not in weights)
+        raise FormatError(f"missing 'v' line for vertex {missing}")
     if len(edges) != m:
         raise FormatError(f"'p' line declares {m} edges, found {len(edges)}")
     return WeightedGraph(
@@ -406,7 +407,3 @@ def random_weighted_graph(rng: random.Random, n: int, p: float, t: int) -> Weigh
     ]
     weights = tuple(rng.randint(1, t) for _ in range(n))
     return WeightedGraph(Graph.from_edges(n, edges), weights)
-
-
-def iter_vertices(g: Graph) -> Iterator[int]:
-    return iter(range(1, g.n + 1))

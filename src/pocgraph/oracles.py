@@ -2,10 +2,18 @@
 exhaustive or branch-and-bound search.
 
 These are the ground truth the rest of the package is checked against.
-``chi_poc_exact`` (backtracking over colorings) and ``ell_prime_exact``
-(enumeration of good acyclic orientations) are deliberately implemented as
-two unrelated searches so that their agreement is a meaningful
-cross-validation.
+``chi_poc_exact`` (backtracking over colorings) and ``ell_prime_orientation``
+(a search over good acyclic orientations) are deliberately implemented as two
+unrelated searches that share no code, so that their agreement (Theorem 3) is
+a meaningful cross-validation.
+
+``ell_prime_orientation`` only chooses the orientation of each equal-weight
+class, since every other edge is forced heavier -> lighter. It takes the
+classes from lightest to heaviest and computes vertex heights as it goes.
+A finished class's heights are final, so a partial choice whose heights
+already reach the best value found is pruned. Options are visited in a fixed
+order, and the witness is the first orientation in that order that attains
+the minimum.
 
 Every search respects a cap from :class:`OracleCaps`; exceeding a cap raises
 :class:`CapExceeded` instead of silently approximating.
@@ -20,7 +28,6 @@ from functools import lru_cache
 from typing import Iterator
 
 from .graph_core import Coloring, Graph, Orientation, WeightedGraph, normalize_weights
-from .poc_engine import _dag_longest_path
 
 
 @dataclass(frozen=True)
@@ -388,51 +395,82 @@ def chi_poc_exact(
 
 
 # ---------------------------------------------------------------------------
-# ell' by enumeration of good acyclic orientations
+# ell' by class-by-class heights over good acyclic orientations
 # ---------------------------------------------------------------------------
 
+# One acyclic orientation of an equal-weight class: its flip bits and a
+# heads-first order of ``(vertex, in-class heads)`` pairs.
+_ClassOption = tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]
 
-def _acyclic_class_orientations(
+
+def _class_arcs(
+    intra: list[tuple[int, int]], bits: int
+) -> tuple[tuple[int, int], ...]:
+    """The arcs of one class orientation: bit i flips intra edge i=(u, v) to v -> u."""
+    return tuple((v, u) if bits >> i & 1 else (u, v) for i, (u, v) in enumerate(intra))
+
+
+def _class_orientations(
     members: list[int], intra: list[tuple[int, int]]
-) -> list[tuple[tuple[int, int], ...]]:
-    """All acyclic orientations of one equal-weight class subgraph."""
-    if not intra:
-        return [()]
-    if 2 ** len(intra) <= math.factorial(len(members)):
-        found: list[tuple[tuple[int, int], ...]] = []
-        for bits in range(1 << len(intra)):
-            arcs = tuple(
-                (u, v) if not bits >> i & 1 else (v, u)
-                for i, (u, v) in enumerate(intra)
-            )
-            if _class_is_acyclic(members, arcs):
-                found.append(arcs)
-        return found
-    # dense class: every acyclic orientation is induced by some linear order
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    for perm in itertools.permutations(members):
-        pos = {v: i for i, v in enumerate(perm)}
-        arcs = tuple((u, v) if pos[u] < pos[v] else (v, u) for u, v in intra)
-        seen.add(arcs)
-    return sorted(seen)
+) -> Iterator[_ClassOption]:
+    """Every acyclic orientation of one equal-weight class, in ascending order
+    of its flip bits.
+
+    Intra edge k-1 is decided first and edge 0 last, (u, v) before (v, u), so
+    the bits count upward. A partial orientation carries its reachability as
+    one int of m rows of m bits, row x holding the members that x reaches (x
+    included), and its arcs as a second int of the same shape. An arc whose
+    head already reaches its tail would close a cycle and is never added. A
+    head reaches strictly fewer members than its tail, so sorting members by
+    that count puts heads first.
+    """
+    m = len(members)
+    row = (1 << m) - 1
+    shifts = [x * m for x in range(m)]
+    firsts = sum(1 << s for s in shifts)  # bit 0 of every row
+    ends = [(members.index(u), members.index(v)) for u, v in intra]
+    partial = [(0, sum(1 << (s + x) for x, s in enumerate(shifts)), 0)]  # x reaches x
+    for i in range(len(intra) - 1, -1, -1):
+        a, b = ends[i]
+        longer = []
+        for bits, reach, arcs in partial:
+            for tail, head, flip in ((a, b, 0), (b, a, 1 << i)):
+                if reach >> (shifts[head] + tail) & 1:
+                    continue
+                # every row that reaches the tail now reaches all the head reaches
+                gained = (reach >> tail & firsts) * (reach >> shifts[head] & row)
+                longer.append((
+                    bits | flip, reach | gained, arcs | 1 << (shifts[tail] + head)
+                ))
+        partial = longer
+    interned: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+    for bits, reach, arcs in partial:
+        counts = [(reach >> s & row).bit_count() for s in shifts]
+        order = []
+        for x in sorted(range(m), key=counts.__getitem__):
+            heads = arcs >> shifts[x] & row
+            pair = interned.get((x, heads))
+            if pair is None:
+                pair = interned[x, heads] = (
+                    members[x],
+                    tuple(members[y] for y in range(m) if heads >> y & 1),
+                )
+            order.append(pair)
+        yield bits, tuple(order)
 
 
-def _class_is_acyclic(members: list[int], arcs: tuple[tuple[int, int], ...]) -> bool:
-    out: dict[int, list[int]] = {v: [] for v in members}
-    indeg = {v: 0 for v in members}
-    for t, h in arcs:
-        out[t].append(h)
-        indeg[h] += 1
-    queue = [v for v in members if indeg[v] == 0]
-    done = 0
-    while queue:
-        v = queue.pop()
-        done += 1
-        for u in out[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                queue.append(u)
-    return done == len(members)
+def _class_options(
+    members: list[int], intra: list[tuple[int, int]]
+) -> list[_ClassOption]:
+    """A class's orientations in search order: ascending flip bits, except that
+    a dense class (2^k > m!) is in ascending order of its arc tuple."""
+    options = list(_class_orientations(members, intra))
+    k = len(intra)
+    if 2 ** k > math.factorial(len(members)):
+        # arc tuples compare edge 0 first, and (u, v) < (v, u) for u < v: the
+        # flip bits read from bit 0 upward
+        options.sort(key=lambda o: f"{o[0]:0{k}b}"[::-1])
+    return options
 
 
 def ell_prime_orientation(
@@ -445,6 +483,21 @@ def ell_prime_orientation(
     edges range over all orientations whose restriction to each weight class
     is acyclic (a good orientation can only have directed cycles inside one
     class, so this is exactly the good acyclic family).
+
+    The search picks one orientation per class with intra edges, lightest
+    class first, and computes each vertex's height (vertices on a longest
+    directed path starting there) as it goes: 1 + the largest height among
+    its out-neighbours, which are lighter or in its own class. The heights
+    of a finished class never change, so a choice whose running maximum
+    already reaches the best value found is pruned with everything below it.
+    The search stops at the longest path of the forced arcs alone, which
+    every candidate contains.
+
+    Witness contract: candidates are visited in ``itertools.product`` order
+    over the classes by ascending weight, each class's options in the order
+    of ``_class_options``, and the witness is the first candidate that
+    attains the minimum. Pruning never skips a candidate that beats the best
+    so far, so the witness does not depend on the pruning.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -452,38 +505,93 @@ def ell_prime_orientation(
     n = gn.n
     w = gn.weights
     forced: list[tuple[int, int]] = []
+    lighter: list[list[int]] = [[] for _ in range(n + 1)]
     intra_by_class: dict[int, list[tuple[int, int]]] = {}
     for u, v in gn.graph.sorted_edges():
         if w[u - 1] > w[v - 1]:
             forced.append((u, v))
+            lighter[u].append(v)
         elif w[v - 1] > w[u - 1]:
             forced.append((v, u))
+            lighter[v].append(u)
         else:
             intra_by_class.setdefault(w[u - 1], []).append((u, v))
     total_intra = sum(len(e) for e in intra_by_class.values())
     if total_intra > caps.ell_prime_intra_edges:
         raise CapExceeded("ell_prime_intra_edges", caps.ell_prime_intra_edges, total_intra)
 
-    floor = _dag_longest_path(n, set(forced))  # forced arcs appear in every candidate
-    options = []
-    for _, intra in sorted(intra_by_class.items()):
-        members = sorted({x for e in intra for x in e})
-        options.append(_acyclic_class_orientations(members, intra))
+    height = [0] * (n + 1)
+    by_weight = sorted(range(1, n + 1), key=lambda v: w[v - 1])
+    for v in by_weight:  # forced arcs only: every candidate's paths include these
+        height[v] = 1 + max((height[x] for x in lighter[v]), default=0)
+    floor = max(height)
 
-    best: int | None = None
-    best_arcs: tuple[tuple[int, int], ...] = ()
-    for combo in itertools.product(*options):
-        arcs = set(forced)
-        for group in combo:
-            arcs.update(group)
-        value = _dag_longest_path(n, arcs)
-        if best is None or value < best:
-            best = value
-            best_arcs = tuple(sorted(arcs))
-            if best == floor:
-                break
-    assert best is not None
-    return best, Orientation(gn.graph, frozenset(best_arcs))
+    # A stage: the vertices without intra edges up to and including one
+    # class's weight, that class's members, and its options. A last stage
+    # with a single empty option holds the vertices above the heaviest class.
+    stages = []
+    intras = []
+    placed = 0
+    for c, intra in sorted(intra_by_class.items()):
+        members = sorted({x for e in intra for x in e})
+        upto = placed
+        while upto < n and w[by_weight[upto] - 1] <= c:
+            upto += 1
+        fixed = [v for v in by_weight[placed:upto] if v not in members]
+        stages.append((
+            [(v, lighter[v]) for v in fixed],
+            [(v, lighter[v]) for v in members],
+            _class_options(members, intra),
+        ))
+        intras.append(intra)
+        placed = upto
+    if placed < n:
+        stages.append(([(v, lighter[v]) for v in by_weight[placed:]], [], [(0, ())]))
+        intras.append([])
+
+    best = n + 1  # above every candidate's value
+    best_choice: list[int] = []
+    choice = [0] * len(stages)
+    last = len(stages) - 1
+
+    def search(s: int, reached: int) -> bool:
+        """Extend the choices below stage s; True once the floor is attained."""
+        nonlocal best, best_choice
+        fixed, members, options = stages[s]
+        for v, heads in fixed:
+            height[v] = 1 + max((height[x] for x in heads), default=0)
+            reached = max(reached, height[v])
+        if reached >= best:
+            return False
+        base = {v: 1 + max((height[x] for x in heads), default=0) for v, heads in members}
+        for bits, order in options:
+            top = reached
+            for v, heads in order:
+                h = base[v]
+                for x in heads:
+                    if height[x] >= h:
+                        h = height[x] + 1
+                height[v] = h
+                if h > top:
+                    top = h
+            if top >= best:
+                continue
+            choice[s] = bits
+            if s < last:
+                if search(s + 1, top):
+                    return True
+            else:
+                best = top
+                best_choice = choice[:]
+                if best == floor:
+                    return True
+        return False
+
+    search(0, 0)
+    arcs = set(forced)
+    for intra, bits in zip(intras, best_choice):
+        arcs.update(_class_arcs(intra, bits))
+    return best, Orientation(gn.graph, frozenset(arcs))
 
 
 def ell_prime_exact(g: WeightedGraph, caps: OracleCaps = DEFAULT_CAPS) -> int:

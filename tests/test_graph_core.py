@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -77,6 +78,18 @@ def test_parse_detects_missing_declarations():
         parse_wpoc("p wpoc 3 2\nv 1 1\nv 2 1\nv 3 1\ne 1 2\n")
     with pytest.raises(FormatError, match="missing 'p wpoc"):
         parse_wpoc("# nothing\n")
+
+
+def test_parse_huge_declared_n_fails_without_allocating():
+    # the missing vertex is found without materialising the ids 1..n
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="missing 'v' line for vertex 1$"):
+            parse_wpoc("p wpoc 1000000000 0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_roundtrip_on_random_instances():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -33,6 +35,7 @@ from pocgraph import (
     random_weighted_graph,
     weak_orderings,
 )
+import pocgraph.oracles as oracles_mod
 from pocgraph.oracles import WeakOrdering
 from pocgraph.poc_engine import dag_longest_path
 
@@ -203,6 +206,147 @@ def test_theorem3_agreement_exhaustive_n4():
             for wo in weak_orderings(n):
                 wg = WeightedGraph(g, wo.weights())
                 assert chi_poc_exact(wg)[0] == ell_prime_exact(wg)
+
+
+def _stanley_count(k: int, edges) -> int:
+    """|P_G(-1)| for a graph on k vertices: the number of its acyclic orientations
+    (Stanley, "Acyclic orientations of graphs", 1973), with P_G found by
+    deletion-contraction, P(G) = P(G - e) - P(G / e)."""
+
+    @functools.lru_cache(maxsize=None)
+    def at_minus_one(k: int, es: frozenset) -> int:
+        if not es:
+            return (-1) ** k
+        e = min(es)
+        rest = es - {e}
+        a, b = e
+        merged = frozenset(
+            (min(x, y), max(x, y))
+            for x, y in ((a if x == b else x, a if y == b else y) for x, y in rest)
+            if x != y
+        )
+        return at_minus_one(k, rest) - at_minus_one(k - 1, merged)
+
+    return abs(at_minus_one(k, frozenset(edges)))
+
+
+def _class_enumerator_problem(edges) -> str | None:
+    members = sorted({x for e in edges for x in e})
+    intra = sorted(edges)
+    options = oracles_mod._class_options(members, intra)
+    expected = _stanley_count(len(members), intra)
+    if len(options) != expected:
+        return f"{len(options)} orientations, |P_G(-1)| = {expected}"
+    if len({bits for bits, _ in options}) != len(options):
+        return "an orientation repeats"
+    for bits, order in options:
+        if sorted(v for v, _ in order) != members:
+            return f"order {order} does not list the members once each"
+        position = {v: i for i, (v, _) in enumerate(order)}
+        arcs = {(v, h) for v, heads in order for h in heads}
+        if arcs != set(oracles_mod._class_arcs(intra, bits)):
+            return f"order {order} does not carry the arcs of bits {bits}"
+        if any(position[h] > position[t] for t, h in arcs):
+            return f"order {order} is not heads-first"
+    return None
+
+
+def test_class_enumerator_counts_acyclic_orientations():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            assert _class_enumerator_problem(g.sorted_edges()) is None, g
+    rng = random.Random(1973)
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        p = rng.uniform(0.2, 0.6)
+        edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p]
+        assert _class_enumerator_problem(edges) is None, (n, edges)
+
+
+def _reference_ell_prime(g: WeightedGraph) -> tuple[int, frozenset, bool]:
+    """ell' by the plain search that fixes the witness order: every orientation
+    of each class in bit order (bit i flips intra edge i), the acyclic ones kept
+    and sorted by arc tuple when 2^k > m!; the product over the classes by
+    ascending weight; a longest-path DP per candidate; the first strict minimum,
+    stopping at the longest path of the forced arcs. Also returns whether the
+    search stopped there before the end of the product."""
+    rank = {x: i for i, x in enumerate(sorted(set(g.weights)))}
+    w = [rank[x] for x in g.weights]
+    forced, intra = [], {}
+    for u, v in g.graph.sorted_edges():
+        if w[u - 1] == w[v - 1]:
+            intra.setdefault(w[u - 1], []).append((u, v))
+        else:
+            forced.append((u, v) if w[u - 1] > w[v - 1] else (v, u))
+
+    def longest(arcs) -> int | None:
+        out = {v: [] for v in range(1, g.n + 1)}
+        for t, h in arcs:
+            out[t].append(h)
+        height, busy = {}, set()
+
+        def visit(v):
+            if v in busy:
+                raise ValueError("cycle")
+            if v not in height:
+                busy.add(v)
+                height[v] = 1 + max((visit(x) for x in out[v]), default=0)
+                busy.discard(v)
+            return height[v]
+
+        try:
+            return max(visit(v) for v in out)
+        except ValueError:
+            return None
+
+    options = []
+    for _, edges in sorted(intra.items()):
+        members = {x for e in edges for x in e}
+        found = []
+        for bits in range(1 << len(edges)):
+            arcs = tuple((v, u) if bits >> i & 1 else (u, v) for i, (u, v) in enumerate(edges))
+            if longest(arcs) is not None:
+                found.append(arcs)
+        if 2 ** len(edges) > math.factorial(len(members)):
+            found.sort()
+        options.append(found)
+    floor = longest(forced)
+    combos = list(itertools.product(*options))
+    best = None
+    for i, combo in enumerate(combos):
+        arcs = set(forced).union(*combo)
+        value = longest(arcs)
+        if best is None or value < best[0]:
+            best = (value, frozenset(arcs))
+            if value == floor:
+                return value, best[1], i + 1 < len(combos)
+    return best[0], best[1], False
+
+
+def test_ell_prime_witness_matches_reference_search():
+    rng = random.Random(2102)
+    cases = [WeightedGraph(complete_graph(4), (1, 1, 1, 1))]
+    for _ in range(30):  # one all-equal class, mostly dense
+        n = rng.randint(4, 5)
+        cases.append(random_weighted_graph(rng, n, rng.uniform(0.6, 0.9), 1))
+    for _ in range(150):  # several classes with intra edges
+        n = rng.randint(5, 7)
+        cases.append(random_weighted_graph(rng, n, rng.uniform(0.3, 0.7), rng.randint(2, 3)))
+    kinds = set()
+    for g in cases:
+        value, arcs, stopped_early = _reference_ell_prime(g)
+        got, witness = ell_prime_orientation(g, OracleCaps(ell_prime_intra_edges=28))
+        assert (got, witness.arcs) == (value, arcs), g
+        members = {x for u, v in g.graph.edges if g.weight(u) == g.weight(v) for x in (u, v)}
+        classes = {g.weight(v) for v in members}
+        intra = sum(g.weight(u) == g.weight(v) for u, v in g.graph.edges)
+        if len(classes) == 1 and len(members) == g.n and 2**intra > math.factorial(g.n):
+            kinds.add("dense all-equal class")
+        if len(classes) >= 2:
+            kinds.add("several classes")
+        if stopped_early:
+            kinds.add("stopped at the floor")
+    assert kinds == {"dense all-equal class", "several classes", "stopped at the floor"}
 
 
 # ---------------------------------------------------------------------------
