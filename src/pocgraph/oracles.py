@@ -209,44 +209,17 @@ def chromatic_number(g: Graph) -> int:
 
 
 def longest_path_exact(g: Graph, caps: OracleCaps = DEFAULT_CAPS) -> int:
-    """Number of vertices of a longest simple path, by subset dynamic programming.
-
-    State: dp[mask] = bitmask of endpoints v such that some simple path visits
-    exactly the vertices of mask and ends at v.
-    """
-    if g.n > caps.longest_path_n:
-        raise CapExceeded("longest_path_n", caps.longest_path_n, g.n)
-    n = g.n
-    if n == 0:
-        return 0
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u - 1] |= 1 << (v - 1)
-        adj[v - 1] |= 1 << (u - 1)
-    dp = [0] * (1 << n)
-    for v in range(n):
-        dp[1 << v] = 1 << v
-    best = 1
-    for mask in range(1, 1 << n):
-        ends = dp[mask]
-        if not ends:
-            continue
-        size = mask.bit_count()
-        if size > best:
-            best = size
-        while ends:
-            vbit = ends & -ends
-            ends ^= vbit
-            ext = adj[vbit.bit_length() - 1] & ~mask
-            while ext:
-                ubit = ext & -ext
-                ext ^= ubit
-                dp[mask | ubit] |= ubit
-    return best
+    """Number of vertices of a longest simple path (see longest_path_witness)."""
+    return len(longest_path_witness(g, caps))
 
 
 def longest_path_witness(g: Graph, caps: OracleCaps = DEFAULT_CAPS) -> tuple[int, ...]:
-    """An actual longest simple path, reconstructed from the subset DP."""
+    """A longest simple path, by subset dynamic programming.
+
+    State: dp[mask] = bitmask of endpoints v such that some simple path visits
+    exactly the vertices of mask and ends at v. The path is reconstructed
+    backwards from a largest reachable mask.
+    """
     if g.n > caps.longest_path_n:
         raise CapExceeded("longest_path_n", caps.longest_path_n, g.n)
     n = g.n

@@ -8,20 +8,19 @@ A coloring c of a weighted graph is a POC when, across every edge uv:
 
 An acyclic orientation is *good* when every arc runs from a weakly heavier
 tail to a weakly lighter head. Good acyclic orientations and POCs translate
-into each other with the longest directed path bounding the palette.
+into each other. Coloring each vertex of a good acyclic orientation with its
+height, the number of vertices on a longest directed path starting at it,
+gives a POC whose palette equals the longest directed path. Orienting each
+edge of a POC from the larger color to the smaller gives a good acyclic
+orientation whose longest directed path is at most the palette.
 """
 
 from __future__ import annotations
 
 import graphlib
+from typing import Iterable, Sequence
 
-from .graph_core import (
-    Coloring,
-    Orientation,
-    WeightedGraph,
-    induced_subgraph,
-    normalize_weights,
-)
+from .graph_core import Coloring, Graph, Orientation, WeightedGraph, normalize_weights
 
 
 def first_violation(g: WeightedGraph, c: Coloring) -> tuple[int, int] | None:
@@ -49,6 +48,17 @@ def _weight_order(g: WeightedGraph) -> list[int]:
     return sorted(range(1, g.n + 1), key=lambda v: (g.weight(v), v))
 
 
+def _greedy_colors(order: list[int], neighbors: Sequence[Iterable[int]]) -> tuple[int, ...]:
+    """Colors of vertices 1..n (``order`` lists each once): along ``order``,
+    each vertex gets one more than the largest color among its already
+    colored ``neighbors[v]``, or 1 if there are none."""
+    colors = [0] * (len(order) + 1)
+    for v in order:
+        prev = [colors[u] for u in neighbors[v] if colors[u]]
+        colors[v] = max(prev) + 1 if prev else 1
+    return tuple(colors[1:])
+
+
 def greedy_poc(g: WeightedGraph) -> Coloring:
     """Weight-ordered greedy coloring (CLI algo ``f``).
 
@@ -59,11 +69,7 @@ def greedy_poc(g: WeightedGraph) -> Coloring:
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    colors = [0] * (g.n + 1)
-    for v in _weight_order(g):
-        prev = [colors[u] for u in g.graph.neighbors(v) if colors[u]]
-        colors[v] = max(prev) + 1 if prev else 1
-    body = tuple(colors[1:])
+    body = _greedy_colors(_weight_order(g), g.graph.adjacency)
     return Coloring(body, max(body))
 
 
@@ -79,14 +85,25 @@ def layered_stack_coloring(g: WeightedGraph) -> Coloring:
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     g = normalize_weights(g)
+    # Each class graph is the one induced_subgraph builds: members keep their
+    # ascending-id order as new ids 1..k, and its edges are inserted in g's
+    # edge order, so the exact coloring sees the same graph.
+    members: list[list[int]] = [[] for _ in range(max(g.weights) + 1)]
+    local = [0] * (g.n + 1)
+    for v, value in enumerate(g.weights, start=1):
+        members[value].append(v)
+        local[v] = len(members[value])
+    class_edges: list[list[tuple[int, int]]] = [[] for _ in members]
+    for u, v in g.graph.edges:
+        if g.weight(u) == g.weight(v):
+            class_edges[g.weight(u)].append((local[u], local[v]))
     colors = [0] * (g.n + 1)
     offset = 0
-    for value in range(1, max(g.weights) + 1):
-        members = [v for v in range(1, g.n + 1) if g.weight(v) == value]
-        sub, idmap = induced_subgraph(g.graph, members)
+    for value in range(1, len(members)):
+        sub = Graph(len(members[value]), frozenset(class_edges[value]))
         sub_coloring = oracles.proper_coloring_exact(sub)
-        for v in members:
-            colors[v] = offset + sub_coloring.color(idmap[v])
+        for v in members[value]:
+            colors[v] = offset + sub_coloring.color(local[v])
         offset += sub_coloring.palette
     body = tuple(colors[1:])
     return Coloring(body, offset)
@@ -107,36 +124,39 @@ def build_good_orientation(g: WeightedGraph) -> Orientation:
     return Orientation(g.graph, frozenset(arcs))
 
 
+def _heads_first(d: Orientation) -> list[int]:
+    """Kahn's order of the vertices with every arc's head before its tail.
+
+    Raises graphlib.CycleError when d contains a directed cycle.
+    """
+    out = d.out_neighbors
+    indegree = [0] * (d.graph.n + 1)
+    for heads in out:
+        for h in heads:
+            indegree[h] += 1
+    order = [v for v in range(1, d.graph.n + 1) if not indegree[v]]
+    for v in order:  # tails first; the loop also visits what it appends
+        for h in out[v]:
+            indegree[h] -= 1
+            if not indegree[h]:
+                order.append(h)
+    if len(order) < d.graph.n:
+        raise graphlib.CycleError("nodes are in a cycle")
+    order.reverse()
+    return order
+
+
 def is_good_acyclic(g: WeightedGraph, d: Orientation) -> bool:
     """True iff d has no directed cycle and w(tail) >= w(head) on every arc."""
     if d.graph != g.graph:
         raise ValueError("orientation does not match the graph")
     if any(g.weight(t) < g.weight(h) for t, h in d.arcs):
         return False
-    ts = graphlib.TopologicalSorter({v: [] for v in range(1, g.n + 1)})
-    for t, h in d.arcs:
-        ts.add(h, t)
     try:
-        ts.prepare()
+        _heads_first(d)
     except graphlib.CycleError:
         return False
     return True
-
-
-def _dag_longest_path(n: int, arcs: frozenset[tuple[int, int]] | set[tuple[int, int]]) -> int:
-    """Vertices on a longest directed path, by DP over a topological order."""
-    ts = graphlib.TopologicalSorter({v: [] for v in range(1, n + 1)})
-    preds: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for t, h in arcs:
-        ts.add(h, t)
-        preds[h].append(t)
-    order = list(ts.static_order())  # raises graphlib.CycleError on a cycle
-    depth = {v: 1 for v in range(1, n + 1)}
-    for v in order:
-        for p in preds[v]:
-            if depth[p] + 1 > depth[v]:
-                depth[v] = depth[p] + 1
-    return max(depth.values()) if depth else 0
 
 
 def dag_longest_path(d: Orientation) -> int:
@@ -144,41 +164,23 @@ def dag_longest_path(d: Orientation) -> int:
 
     Raises graphlib.CycleError when the orientation contains a directed cycle.
     """
-    return _dag_longest_path(d.graph.n, d.arcs)
+    return max(_greedy_colors(_heads_first(d), d.out_neighbors), default=0)
 
 
 def greedy_poc_from_orientation(g: WeightedGraph, d: Orientation) -> Coloring:
     """Greedy coloring along a good acyclic orientation (CLI algo ``fprime``).
 
-    Vertices are processed by non-decreasing weight; inside a weight class the
-    order follows the class-restricted arcs (heads before tails) so that every
-    out-neighbor is colored first. Each vertex gets one more than the largest
-    color among its processed out-neighbors, or 1 if it has none. The palette
-    never exceeds the longest directed path of d.
+    Vertices are processed heads first, so every out-neighbor is colored
+    before its tail; each vertex gets one more than the largest color among
+    its out-neighbors, or 1 if it has none. That color is the vertex's height,
+    the number of vertices on a longest directed path starting at it, so the
+    palette equals the longest directed path of d.
 
     Raises ValueError when d is not a good acyclic orientation of g.
     """
     if not is_good_acyclic(g, d):
         raise ValueError("orientation is not good acyclic for this weighting")
-    order: list[int] = []
-    for value in sorted(set(g.weights)):
-        members = [v for v in range(1, g.n + 1) if g.weight(v) == value]
-        member_set = set(members)
-        # heads before tails inside the class, smallest id first among ready ones
-        ts = graphlib.TopologicalSorter({v: [] for v in members})
-        for t, h in d.arcs:
-            if t in member_set and h in member_set:
-                ts.add(t, h)
-        ts.prepare()
-        while ts.is_active():
-            ready = sorted(ts.get_ready())
-            order.extend(ready)
-            ts.done(*ready)
-    colors = [0] * (g.n + 1)
-    for v in order:
-        prev = [colors[u] for u in d.out_neighbors[v] if colors[u]]
-        colors[v] = max(prev) + 1 if prev else 1
-    body = tuple(colors[1:])
+    body = _greedy_colors(_heads_first(d), d.out_neighbors)
     return Coloring(body, max(body))
 
 

@@ -99,18 +99,42 @@ def test_chromatic_number_greedy_never_below_exact():
         (complete_multipartite_graph((2, 3)), 5),
         (path_graph(1), 1),
         (Graph(4, frozenset()), 1),
+        (Graph(0, frozenset()), 0),
     ],
 )
 def test_longest_path_examples(graph, ell):
     assert longest_path_exact(graph) == ell
 
 
-def test_longest_path_witness_is_a_path():
+def _longest_path_by_dfs(g: Graph) -> int:
+    """Brute-force reference: extend every simple path from every start."""
+    best = 0
+
+    def extend(v: int, seen: set[int]) -> None:
+        nonlocal best
+        best = max(best, len(seen))
+        for u in g.adjacency[v] - seen:
+            seen.add(u)
+            extend(u, seen)
+            seen.remove(u)
+
+    for start in range(1, g.n + 1):
+        extend(start, {start})
+    return best
+
+
+def _small_and_random_graphs():
+    for n in range(1, 7):
+        yield from enumerate_graphs(n)
     rng = random.Random(23)
     for _ in range(60):
-        g = random_weighted_graph(rng, rng.randint(1, 8), rng.random(), 1).graph
+        yield random_weighted_graph(rng, rng.randint(1, 9), rng.random(), 1).graph
+
+
+def test_longest_path_witness_is_a_path():
+    for g in _small_and_random_graphs():
         path = longest_path_witness(g)
-        assert len(path) == longest_path_exact(g)
+        assert len(path) == longest_path_exact(g) == _longest_path_by_dfs(g)
         assert len(set(path)) == len(path)
         for u, v in zip(path, path[1:]):
             assert g.has_edge(u, v)
@@ -517,6 +541,30 @@ def test_enumerate_graphs_pairwise_nonisomorphic_n4():
         c = canon(g)
         assert c not in seen
         seen.add(c)
+
+
+def test_enumerate_graphs_matches_graph_atlas():
+    """Every atlas graph with n <= 6 (Read & Wilson, An Atlas of Graphs) is
+    isomorphic to exactly one representative, so the representatives are
+    also pairwise non-isomorphic."""
+    nx = pytest.importorskip("networkx")
+
+    def degrees(g) -> tuple[int, ...]:
+        return tuple(sorted(d for _, d in g.degree()))
+
+    atlas = [a for a in nx.graph_atlas_g() if 1 <= a.number_of_nodes() <= 6]
+    for n in range(1, 7):
+        buckets: dict[tuple[int, ...], list] = {}
+        for g in enumerate_graphs(n):
+            rep = nx.Graph()
+            rep.add_nodes_from(range(1, n + 1))
+            rep.add_edges_from(g.edges)
+            buckets.setdefault(degrees(rep), []).append(rep)
+        of_order = [a for a in atlas if a.number_of_nodes() == n]
+        assert len(of_order) == sum(len(b) for b in buckets.values())
+        for a in of_order:
+            matches = [r for r in buckets.get(degrees(a), []) if nx.is_isomorphic(a, r)]
+            assert len(matches) == 1, (n, sorted(a.edges))
 
 
 def test_hamiltonian_path_examples():

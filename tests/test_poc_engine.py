@@ -151,6 +151,32 @@ def test_stack_coloring_blocks_are_increasing():
                     assert c.color(u) < c.color(v)
 
 
+def _reference_stack_coloring(g: WeightedGraph) -> Coloring:
+    """Per-class members plus induced_subgraph, rescanning g once per class."""
+    from pocgraph import induced_subgraph, proper_coloring_exact
+
+    g = normalize_weights(g)
+    colors = [0] * (g.n + 1)
+    offset = 0
+    for value in range(1, max(g.weights) + 1):
+        members = [v for v in range(1, g.n + 1) if g.weight(v) == value]
+        sub, idmap = induced_subgraph(g.graph, members)
+        sub_coloring = proper_coloring_exact(sub)
+        for v in members:
+            colors[v] = offset + sub_coloring.color(idmap[v])
+        offset += sub_coloring.palette
+    return Coloring(tuple(colors[1:]), offset)
+
+
+def test_stack_coloring_matches_induced_subgraph_reference():
+    rng = random.Random(18)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        t = rng.choice([1, 2, 3, n, n])
+        g = random_weighted_graph(rng, n, rng.random(), t)
+        assert layered_stack_coloring(g) == _reference_stack_coloring(g)
+
+
 # ---------------------------------------------------------------------------
 # orientations
 # ---------------------------------------------------------------------------
@@ -266,11 +292,11 @@ def test_oriented_greedy_within_dipath_bound_random():
         d = build_good_orientation(g)
         c = greedy_poc_from_orientation(g, d)
         assert is_valid_poc(g, c)
-        assert c.palette <= dag_longest_path(d)
+        assert c.palette == dag_longest_path(d)
 
 
 def test_oriented_greedy_all_good_orientations_small():
-    """The dipath palette bound holds for every good acyclic orientation."""
+    """The palette equals the longest dipath for every good acyclic orientation."""
     from pocgraph.oracles import enumerate_graphs, weak_orderings
 
     for n in range(1, 4):
@@ -288,7 +314,106 @@ def test_oriented_greedy_all_good_orientations_small():
                         continue
                     c = greedy_poc_from_orientation(wg, d)
                     assert is_valid_poc(wg, c)
-                    assert c.palette <= dag_longest_path(d)
+                    assert c.palette == dag_longest_path(d)
+
+
+# Test-local copy of the graphlib engine that the heads-first pass replaced:
+# a TopologicalSorter per weight class, the greedy loop along that order, and
+# a separate DP for the longest directed path.
+
+
+def _old_greedy(order: list[int], neighbors, n: int) -> Coloring:
+    colors = [0] * (n + 1)
+    for v in order:
+        prev = [colors[u] for u in neighbors[v] if colors[u]]
+        colors[v] = max(prev) + 1 if prev else 1
+    body = tuple(colors[1:])
+    return Coloring(body, max(body))
+
+
+def _old_greedy_poc(g: WeightedGraph) -> Coloring:
+    order = sorted(range(1, g.n + 1), key=lambda v: (g.weight(v), v))
+    return _old_greedy(order, g.graph.adjacency, g.n)
+
+
+def _old_is_good_acyclic(g: WeightedGraph, d: Orientation) -> bool:
+    if any(g.weight(t) < g.weight(h) for t, h in d.arcs):
+        return False
+    ts = graphlib.TopologicalSorter({v: [] for v in range(1, g.n + 1)})
+    for t, h in d.arcs:
+        ts.add(h, t)
+    try:
+        ts.prepare()
+    except graphlib.CycleError:
+        return False
+    return True
+
+
+def _old_dag_longest_path(d: Orientation) -> int:
+    n = d.graph.n
+    ts = graphlib.TopologicalSorter({v: [] for v in range(1, n + 1)})
+    preds: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for t, h in d.arcs:
+        ts.add(h, t)
+        preds[h].append(t)
+    depth = {v: 1 for v in range(1, n + 1)}
+    for v in ts.static_order():
+        for p in preds[v]:
+            depth[v] = max(depth[v], depth[p] + 1)
+    return max(depth.values()) if depth else 0
+
+
+def _old_greedy_poc_from_orientation(g: WeightedGraph, d: Orientation) -> Coloring:
+    if not _old_is_good_acyclic(g, d):
+        raise ValueError("orientation is not good acyclic for this weighting")
+    order: list[int] = []
+    for value in sorted(set(g.weights)):
+        members = {v for v in range(1, g.n + 1) if g.weight(v) == value}
+        ts = graphlib.TopologicalSorter({v: [] for v in members})
+        for t, h in d.arcs:
+            if t in members and h in members:
+                ts.add(t, h)
+        ts.prepare()
+        while ts.is_active():
+            ready = sorted(ts.get_ready())
+            order.extend(ready)
+            ts.done(*ready)
+    return _old_greedy(order, d.out_neighbors, g.n)
+
+
+def _outcome(f, *args):
+    try:
+        return ("value", f(*args))
+    except Exception as exc:  # the exception type is part of the contract
+        return ("raises", type(exc))
+
+
+def _random_orientations(rng: random.Random, g: WeightedGraph) -> list[Orientation]:
+    """The canonical good orientation, a random good one (weight, then a random
+    rank inside each class), and a random one, often uphill or cyclic."""
+    rank = {v: (g.weight(v), rng.random()) for v in range(1, g.n + 1)}
+    good = frozenset((u, v) if rank[u] > rank[v] else (v, u) for u, v in g.graph.edges)
+    wild = frozenset((u, v) if rng.random() < 0.5 else (v, u) for u, v in g.graph.edges)
+    return [build_good_orientation(g), Orientation(g.graph, good), Orientation(g.graph, wild)]
+
+
+def test_engine_matches_graphlib_reference():
+    rng = random.Random(19)
+    kinds = {"good": 0, "bad": 0, "cyclic": 0}
+    for _ in range(1500):
+        n = rng.randint(1, 12)
+        g = random_weighted_graph(rng, n, rng.random(), rng.randint(1, n))
+        assert greedy_poc(g) == _old_greedy_poc(g)
+        for d in _random_orientations(rng, g):
+            good = _old_is_good_acyclic(g, d)
+            assert is_good_acyclic(g, d) == good
+            assert _outcome(dag_longest_path, d) == _outcome(_old_dag_longest_path, d)
+            assert _outcome(greedy_poc_from_orientation, g, d) == _outcome(
+                _old_greedy_poc_from_orientation, g, d
+            )
+            cyclic = _outcome(dag_longest_path, d)[0] == "raises"
+            kinds["cyclic" if cyclic else "good" if good else "bad"] += 1
+    assert min(kinds.values()) >= 100, kinds
 
 
 # ---------------------------------------------------------------------------
