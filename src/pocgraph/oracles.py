@@ -7,6 +7,22 @@ These are the ground truth the rest of the package is checked against.
 unrelated searches that share no code, so that their agreement (Theorem 3) is
 a meaningful cross-validation.
 
+The chi_POC backtracking has one body, ``_poc_search``, prepared once per
+graph: adjacency, degree order and clique bound do not depend on the weights.
+``chi_poc_exact`` prepares it for one weighting. The sweeps ``f_argmax`` and
+``chi_poc_t_argmax`` prepare it once and run it on every weak ordering, with
+two exact savings:
+
+- a weighting whose reversal w -> k + 1 - w came earlier is skipped. The map
+  c -> theta + 1 - c turns the POCs of one into those of the other, so both
+  have the same chi_POC, and the best is only replaced on a strictly greater
+  value;
+- a weighting is first tried at the running best's palette. If it has a POC
+  there, it cannot beat the best; if not, no smaller palette works either,
+  since a POC within theta colors is one within theta + 1.
+
+Neither saving consults a longest path, so f stays independent of ell(G).
+
 ``ell_prime_orientation`` only chooses the orientation of each equal-weight
 class, since every other edge is forced heavier -> lighter. It takes the
 classes from lightest to heaviest and computes vertex heights as it goes.
@@ -25,7 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .graph_core import Coloring, Graph, Orientation, WeightedGraph, normalize_weights
 
@@ -292,20 +308,19 @@ def has_hamiltonian_path(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _increasing_chain_bounds(g: WeightedGraph) -> tuple[list[int], list[int]]:
+def _increasing_chain_bounds(
+    adj: tuple[frozenset[int], ...], w: Sequence[int], by_weight: list[int]
+) -> tuple[list[int], list[int]]:
     """Per-vertex longest strictly-weight-increasing path ending at / starting
-    at each vertex (counting the vertex itself). Colors must strictly increase
-    along such paths, which yields hard per-vertex color bounds."""
-    n = g.n
-    w = g.weights
-    adj = g.graph.adjacency
-    by_weight = sorted(range(1, n + 1), key=lambda v: w[v - 1])
-    ending = [1] * (n + 1)
+    at each vertex (counting the vertex itself), for vertices ``by_weight`` in
+    non-decreasing weight order. Colors must strictly increase along such
+    paths, which yields hard per-vertex color bounds."""
+    ending = [1] * len(adj)
     for v in by_weight:
         for u in adj[v]:
             if w[u - 1] < w[v - 1] and ending[u] + 1 > ending[v]:
                 ending[v] = ending[u] + 1
-    starting = [1] * (n + 1)
+    starting = [1] * len(adj)
     for v in reversed(by_weight):
         for u in adj[v]:
             if w[u - 1] > w[v - 1] and starting[u] + 1 > starting[v]:
@@ -313,58 +328,82 @@ def _increasing_chain_bounds(g: WeightedGraph) -> tuple[list[int], list[int]]:
     return ending, starting
 
 
+def _poc_search(g: Graph) -> Callable[[Sequence[int], int], tuple[int, list[int]]]:
+    """The chi_POC backtracking, prepared once per graph.
+
+    Returns ``solve(weights, above)``. ``weights`` are ranks 1..k indexed by
+    ``vertex - 1``. If chi_POC exceeds ``above``, solve returns it and a
+    witness as a colors list indexed by vertex id (index 0 unused). Otherwise
+    it returns ``above`` and a POC within ``above`` colors: a sweep that only
+    wants a value above its running best need not learn the exact one.
+
+    Palette sizes are tried upward from a lower bound (longest forced
+    increasing chain, clique size), backtracking over color assignments in
+    non-decreasing weight order with per-vertex color windows from the chain
+    bounds. When the lower bound is at most ``above``, the palette of exactly
+    ``above`` colors is tried first; if it fails, every smaller one fails too,
+    because a POC within theta colors is one within theta + 1.
+    """
+    n = g.n
+    adj = g.adjacency
+    base = sorted(range(1, n + 1), key=lambda v: (-len(adj[v]), v))
+    clique = len(_greedy_clique(g))
+
+    def solve(w: Sequence[int], above: int) -> tuple[int, list[int]]:
+        # stable, so ties keep the (-degree, v) order of base
+        order = sorted(base, key=lambda v: w[v - 1])
+        colors = [0] * (n + 1)
+        ending, starting = _increasing_chain_bounds(adj, w, order)
+        lower = max(max(ending), clique)
+
+        def assign(i: int, theta: int) -> bool:
+            if i == n:
+                return True
+            v = order[i]
+            lo = ending[v]
+            hi = theta - starting[v] + 1
+            taken = set()
+            for u in adj[v]:
+                cu = colors[u]
+                if not cu:
+                    continue
+                if w[u - 1] < w[v - 1]:
+                    if cu >= lo:
+                        lo = cu + 1
+                else:  # equal weight: heavier neighbors are never colored yet
+                    taken.add(cu)
+            for c in range(lo, hi + 1):
+                if c in taken:
+                    continue
+                colors[v] = c
+                if assign(i + 1, theta):
+                    return True
+            colors[v] = 0
+            return False
+
+        if lower <= above:
+            if assign(0, above):
+                return above, colors
+            lower = above + 1
+        for theta in range(lower, n + 1):
+            if assign(0, theta):
+                return theta, colors
+        raise AssertionError("ranking the vertices by weight is always a POC with n colors")
+
+    return solve
+
+
 def chi_poc_exact(
     g: WeightedGraph, caps: OracleCaps = DEFAULT_CAPS
 ) -> tuple[int, Coloring]:
-    """Minimum POC palette size plus a witness coloring.
-
-    Tries palette sizes upward from a lower bound (longest forced increasing
-    chain, clique size), backtracking over color assignments in non-decreasing
-    weight order with per-vertex color windows from the chain bounds.
-    """
+    """Minimum POC palette size plus a witness coloring, by backtracking over
+    color assignments (see ``_poc_search``)."""
     if g.n > caps.chi_poc_n:
         raise CapExceeded("chi_poc_n", caps.chi_poc_n, g.n)
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    gn = normalize_weights(g)
-    n = gn.n
-    w = gn.weights
-    adj = gn.graph.adjacency
-    order = sorted(range(1, n + 1), key=lambda v: (w[v - 1], -gn.graph.degree(v), v))
-    ending, starting = _increasing_chain_bounds(gn)
-    lower = max(max(ending[1:]), len(_greedy_clique(gn.graph)))
-
-    colors = [0] * (n + 1)
-
-    def assign(i: int, theta: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        lo = ending[v]
-        hi = theta - starting[v] + 1
-        taken = set()
-        for u in adj[v]:
-            cu = colors[u]
-            if not cu:
-                continue
-            if w[u - 1] < w[v - 1]:
-                if cu >= lo:
-                    lo = cu + 1
-            else:  # equal weight: heavier neighbors are never colored yet
-                taken.add(cu)
-        for c in range(lo, hi + 1):
-            if c in taken:
-                continue
-            colors[v] = c
-            if assign(i + 1, theta):
-                return True
-        colors[v] = 0
-        return False
-
-    for theta in range(lower, n + 1):
-        if assign(0, theta):
-            return theta, Coloring(tuple(colors[1:]), theta)
-    raise AssertionError("ranking the vertices by weight is always a POC with n colors")
+    theta, colors = _poc_search(g.graph)(normalize_weights(g).weights, 0)
+    return theta, Coloring(tuple(colors[1:]), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -576,16 +615,45 @@ def ell_prime_exact(g: WeightedGraph, caps: OracleCaps = DEFAULT_CAPS) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _unreversed_partitions(
+    n: int, max_blocks: int | None
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The ordered partitions of 1..n (n >= 1) in ``_ordered_partitions``
+    order, less each one whose reversal came earlier.
+
+    The first block is picked from the whole vertex set by size, then in
+    lexicographic order, so the reversal (B_k, ..., B_1) of (B_1, ..., B_k)
+    came earlier exactly when (|B_k|, B_k) < (|B_1|, B_1). For k >= 2 the
+    two blocks differ, so one partition of each reversed pair is kept: the
+    earlier one. The one-block partition is its own reversal and is kept.
+    """
+    for blocks in _ordered_partitions(tuple(range(1, n + 1)), max_blocks):
+        first, last = blocks[0], blocks[-1]
+        if (len(last), last) >= (len(first), first):
+            yield blocks
+
+
 def _worst_weighting(
-    g: Graph, orderings, caps: OracleCaps
+    g: Graph, caps: OracleCaps, max_blocks: int | None = None, blocks: int | None = None
 ) -> tuple[int, tuple[int, ...]]:
+    """The largest chi_POC over the weak orderings of g's vertices with at most
+    ``max_blocks`` blocks (exactly ``blocks`` if given), and the first
+    weighting in ``weak_orderings`` order that attains it."""
+    if g.n > caps.chi_poc_n:
+        raise CapExceeded("chi_poc_n", caps.chi_poc_n, g.n)
+    solve = _poc_search(g)
+    w = [0] * g.n
     best = 0
     best_weights: tuple[int, ...] = ()
-    for wo in orderings:
-        weights = wo.weights()
-        value, _ = chi_poc_exact(WeightedGraph(g, weights), caps)
+    for partition in _unreversed_partitions(g.n, max_blocks):
+        if blocks is not None and len(partition) != blocks:
+            continue
+        for rank, block in enumerate(partition, start=1):
+            for v in block:
+                w[v - 1] = rank
+        value, _ = solve(w, best)
         if value > best:
-            best, best_weights = value, weights
+            best, best_weights = value, tuple(w)
             if best == g.n:  # the trivial ceiling: no weighting needs more
                 break
     return best, best_weights
@@ -593,16 +661,27 @@ def _worst_weighting(
 
 def f_argmax(g: Graph, caps: OracleCaps = DEFAULT_CAPS) -> tuple[int, tuple[int, ...]]:
     """Worst-case POC palette over all weight functions, plus a weighting
-    attaining it.
+    attaining it: the first in ``weak_orderings`` order.
 
     By rank normalization it suffices to range over weak orderings of the
-    vertex set.
+    vertex set. The sweep shares one prepared search (``_poc_search``) and
+    skips work in two exact ways:
+
+    - a weighting whose reversal w -> k + 1 - w came earlier is skipped: the
+      reversal maps each POC c to theta + 1 - c, so both have the same
+      chi_POC, and the best is replaced only on a strictly greater value;
+    - a weighting is first tried at the running best's palette. A POC there
+      means it cannot beat the best; none there means none with fewer colors
+      (a POC within theta colors is one within theta + 1), so its search goes
+      on from best + 1.
+
+    The ``best == n`` ceiling still ends the sweep early.
     """
     if g.n > caps.f_n:
         raise CapExceeded("f_n", caps.f_n, g.n)
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    return _worst_weighting(g, weak_orderings(g.n), caps)
+    return _worst_weighting(g, caps)
 
 
 def f_exact(g: Graph, caps: OracleCaps = DEFAULT_CAPS) -> int:
@@ -620,7 +699,8 @@ def chi_poc_t_argmax(
 
     With surjective_only=True the weighting must use exactly t values
     (requires t <= n); the default reading allows fewer, which is what makes
-    the quantity monotone in t.
+    the quantity monotone in t. The sweep and its witness are those of
+    ``f_argmax``, restricted to weak orderings with that many blocks.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -630,10 +710,7 @@ def chi_poc_t_argmax(
         raise ValueError("graph must have at least one vertex")
     if surjective_only and t > g.n:
         raise ValueError(f"no surjective weighting with {t} values on {g.n} vertices")
-    orderings = weak_orderings(g.n, max_blocks=min(t, g.n))
-    if surjective_only:
-        orderings = (wo for wo in orderings if len(wo.blocks) == t)
-    return _worst_weighting(g, orderings, caps)
+    return _worst_weighting(g, caps, min(t, g.n), t if surjective_only else None)
 
 
 def chi_poc_t(

@@ -83,6 +83,12 @@ def _graph_tag(g: Graph) -> str:
     return f"n={g.n} e={edges or '-'}"
 
 
+def _weightings(n: int) -> list[tuple[int, ...]]:
+    """Every weak ordering of 1..n as a weight tuple, built once per n and
+    shared by all graphs on n vertices."""
+    return [wo.weights() for wo in oracles.weak_orderings(n)]
+
+
 # ---------------------------------------------------------------------------
 # Fixture checks
 # ---------------------------------------------------------------------------
@@ -215,9 +221,10 @@ def check_theorem3(ctx: _Context) -> tuple[bool, str, str]:
     rounds = 500 if ctx.full else 150
     count = 0
     for n in range(1, nmax + 1):
+        weightings = _weightings(n)
         for g in oracles.enumerate_graphs(n):
-            for wo in oracles.weak_orderings(n):
-                problem = _theorem3_one(ctx, WeightedGraph(g, wo.weights()))
+            for weights in weightings:
+                problem = _theorem3_one(ctx, WeightedGraph(g, weights))
                 if problem:
                     return False, problem, "chi_poc == ell_prime"
                 count += 1
@@ -384,12 +391,13 @@ def check_theorem2_constructive(ctx: _Context) -> tuple[bool, str, str]:
     nmax = 5 if ctx.full else 4
     count = 0
     for n in range(2, nmax + 1):
+        weightings = _weightings(n)
         for g in oracles.enumerate_graphs(n):
             if g.m == 0:
                 continue
             chi = oracles.chromatic_number(g)
-            for wo in oracles.weak_orderings(n):
-                wg = WeightedGraph(g, wo.weights())
+            for weights in weightings:
+                wg = WeightedGraph(g, weights)
                 coloring = mp.completion_coloring(wg, ctx.caps)
                 t = len(set(wg.weights))
                 if not poc_engine.is_valid_poc(wg, coloring):
@@ -524,10 +532,11 @@ def check_greedy_exhaustive(ctx: _Context) -> tuple[bool, str, str]:
     nmax = 6 if ctx.full else 5
     count = 0
     for n in range(1, nmax + 1):
+        weightings = _weightings(n)
         for g in oracles.enumerate_graphs(n):
             lp = oracles.longest_path_exact(g, ctx.caps)
-            for wo in oracles.weak_orderings(n):
-                wg = WeightedGraph(g, wo.weights())
+            for weights in weightings:
+                wg = WeightedGraph(g, weights)
                 coloring = poc_engine.greedy_poc(wg)
                 if not poc_engine.is_valid_poc(wg, coloring):
                     return False, f"greedy invalid on {_tag(wg)}", "greedy is a POC"
@@ -547,10 +556,11 @@ def check_oriented_greedy_all_orientations(ctx: _Context) -> tuple[bool, str, st
     nmax = 4 if ctx.full else 3
     count = 0
     for n in range(1, nmax + 1):
+        weightings = _weightings(n)
         for g in oracles.enumerate_graphs(n):
             edges = g.sorted_edges()
-            for wo in oracles.weak_orderings(n):
-                wg = WeightedGraph(g, wo.weights())
+            for weights in weightings:
+                wg = WeightedGraph(g, weights)
                 for bits in range(1 << len(edges)):
                     arcs = frozenset(
                         (u, v) if not bits >> i & 1 else (v, u)

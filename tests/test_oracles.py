@@ -15,6 +15,7 @@ from pocgraph import (
     WeightedGraph,
     chi_poc_exact,
     chi_poc_t,
+    chi_poc_t_argmax,
     chromatic_number,
     complete_graph,
     complete_multipartite_graph,
@@ -23,6 +24,7 @@ from pocgraph import (
     ell_prime_orientation,
     enumerate_graphs,
     enumerate_pocs,
+    f_argmax,
     f_exact,
     has_hamiltonian_path,
     is_good_acyclic,
@@ -462,6 +464,175 @@ def test_chi_poc_t_surjective_flag():
         )
     with pytest.raises(ValueError, match="surjective"):
         chi_poc_t(g, 5, surjective_only=True)
+
+
+def test_sweep_caps_and_errors():
+    g = path_graph(5)
+    small = OracleCaps(chi_poc_n=4)
+    with pytest.raises(CapExceeded, match=r"^cap chi_poc_n=4 exceeded \(instance needs 5\)$"):
+        f_argmax(g, small)
+    for surjective_only in (False, True):
+        with pytest.raises(CapExceeded, match="chi_poc_n=4") as info:
+            chi_poc_t_argmax(g, 2, small, surjective_only)
+        assert info.value.cap == "chi_poc_n"
+    with pytest.raises(CapExceeded, match=r"^cap f_n=4 exceeded \(instance needs 5\)$"):
+        f_argmax(g, OracleCaps(f_n=4, chi_poc_n=4))
+    with pytest.raises(CapExceeded, match=r"^cap chi_poc_t_n=4 exceeded \(instance needs 5\)$"):
+        chi_poc_t_argmax(g, 2, OracleCaps(chi_poc_t_n=4, chi_poc_n=4))
+    with pytest.raises(ValueError, match=r"^t must be >= 1, got 0$"):
+        chi_poc_t_argmax(g, 0)
+    with pytest.raises(ValueError, match=r"^no surjective weighting with 6 values on 5 vertices$"):
+        chi_poc_t_argmax(g, 6, surjective_only=True)
+    for empty in (f_argmax, lambda g: chi_poc_t_argmax(g, 1)):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            empty(Graph(0, frozenset()))
+
+
+# ---------------------------------------------------------------------------
+# the weighting sweeps against a copy of the per-weighting search
+# ---------------------------------------------------------------------------
+
+
+def _reference_chi_poc(g: WeightedGraph) -> tuple[int, tuple[int, ...]]:
+    """chi_poc_exact as it was before its set-up was shared: every call ranks
+    the weights, sorts, bounds and finds a clique afresh."""
+    rank = {x: i for i, x in enumerate(sorted(set(g.weights)), start=1)}
+    w = tuple(rank[x] for x in g.weights)
+    n = g.n
+    adj = g.graph.adjacency
+    order = sorted(range(1, n + 1), key=lambda v: (w[v - 1], -len(adj[v]), v))
+    by_weight = sorted(range(1, n + 1), key=lambda v: w[v - 1])
+    ending = [1] * (n + 1)
+    for v in by_weight:
+        for u in adj[v]:
+            if w[u - 1] < w[v - 1] and ending[u] + 1 > ending[v]:
+                ending[v] = ending[u] + 1
+    starting = [1] * (n + 1)
+    for v in reversed(by_weight):
+        for u in adj[v]:
+            if w[u - 1] > w[v - 1] and starting[u] + 1 > starting[v]:
+                starting[v] = starting[u] + 1
+    clique: list[int] = []
+    for v in sorted(range(1, n + 1), key=lambda v: (-len(adj[v]), v)):
+        if all(u in adj[v] for u in clique):
+            clique.append(v)
+    lower = max(max(ending[1:]), len(clique))
+    colors = [0] * (n + 1)
+
+    def assign(i: int, theta: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        lo = ending[v]
+        hi = theta - starting[v] + 1
+        taken = set()
+        for u in adj[v]:
+            cu = colors[u]
+            if not cu:
+                continue
+            if w[u - 1] < w[v - 1]:
+                if cu >= lo:
+                    lo = cu + 1
+            else:
+                taken.add(cu)
+        for c in range(lo, hi + 1):
+            if c in taken:
+                continue
+            colors[v] = c
+            if assign(i + 1, theta):
+                return True
+        colors[v] = 0
+        return False
+
+    for theta in range(lower, n + 1):
+        if assign(0, theta):
+            return theta, tuple(colors[1:])
+    raise AssertionError("unreachable")
+
+
+def _reference_sweep(
+    g: Graph, t: int | None = None, surjective_only: bool = False
+) -> tuple[int, tuple[int, ...]]:
+    """f_argmax (t=None) or chi_poc_t_argmax: a fresh search per weak ordering."""
+    orderings = weak_orderings(g.n, None if t is None else min(t, g.n))
+    best, best_weights = 0, ()
+    for wo in orderings:
+        if surjective_only and len(wo.blocks) != t:
+            continue
+        weights = wo.weights()
+        value, _ = _reference_chi_poc(WeightedGraph(g, weights))
+        if value > best:
+            best, best_weights = value, weights
+            if best == g.n:
+                break
+    return best, best_weights
+
+
+def test_chi_poc_exact_matches_reference_search():
+    rng = random.Random(28)
+    for _ in range(1000):
+        n = rng.randint(1, 9)
+        g = random_weighted_graph(rng, n, rng.random(), rng.randint(1, 12))
+        value, witness = chi_poc_exact(g)
+        assert (value, witness.colors) == _reference_chi_poc(g), g
+        assert witness.palette == value
+
+
+def _sweep_graphs():
+    yield from (g for n in range(1, 6) for g in enumerate_graphs(n))
+    yield from random.Random(29).sample(list(enumerate_graphs(6)), 3)
+
+
+def test_sweeps_match_reference_sweep():
+    for g in _sweep_graphs():
+        assert f_argmax(g) == _reference_sweep(g), g
+        for t in range(1, g.n + 2):
+            assert chi_poc_t_argmax(g, t) == _reference_sweep(g, t), (g, t)
+            if t <= g.n:
+                assert chi_poc_t_argmax(g, t, surjective_only=True) == _reference_sweep(
+                    g, t, True
+                ), (g, t)
+
+
+def test_multipartite_sweeps_match_reference_sweep():
+    caps = OracleCaps(chi_poc_t_n=8)
+    for parts in ((2, 2, 3), (1, 3, 4)):
+        g = complete_multipartite_graph(parts)
+        for t in (1, 2, 3):
+            assert chi_poc_t_argmax(g, t, caps) == _reference_sweep(g, t), (parts, t)
+            assert chi_poc_t_argmax(g, t, caps, True) == _reference_sweep(g, t, True), (parts, t)
+
+
+def _reversed(weights: tuple[int, ...]) -> tuple[int, ...]:
+    top = max(weights)
+    return tuple(top + 1 - x for x in weights)
+
+
+def test_reversed_weighting_has_the_same_chi_poc():
+    # c -> theta + 1 - c maps the POCs of w onto those of its reversal
+    for n in range(1, 5):
+        for g in enumerate_graphs(n):
+            naive = {
+                wo.weights(): naive_chi_poc(WeightedGraph(g, wo.weights()))
+                for wo in weak_orderings(n)
+            }
+            assert all(value == naive[_reversed(w)] for w, value in naive.items()), g
+    for g in enumerate_graphs(5):
+        exact = {
+            wo.weights(): chi_poc_exact(WeightedGraph(g, wo.weights()))[0]
+            for wo in weak_orderings(5)
+        }
+        assert all(value == exact[_reversed(w)] for w, value in exact.items()), g
+
+
+def test_sweep_keeps_the_first_of_each_reversed_pair():
+    for n in range(1, 6):
+        for max_blocks in (None, 1, 2, 3):
+            order = list(oracles_mod._ordered_partitions(tuple(range(1, n + 1)), max_blocks))
+            position = {p: i for i, p in enumerate(order)}
+            kept = list(oracles_mod._unreversed_partitions(n, max_blocks))
+            assert kept == [p for p in order if position[p] <= position[p[::-1]]]
+            assert len(kept) == 1 + (len(order) - 1) // 2
 
 
 # ---------------------------------------------------------------------------
