@@ -26,6 +26,7 @@ from .graph_core import (
     parse_orientation,
     parse_wpoc,
     path_graph,
+    random_weighted_graph,
     serialize_coloring,
     serialize_orientation,
     serialize_wpoc,
@@ -238,8 +239,6 @@ def cmd_generate(args: argparse.Namespace, caps: OracleCaps) -> int:
         if args.n is None or args.p is None or args.t is None:
             _say("generate random requires --n, --p and --t")
             return 2
-        from .graph_core import random_weighted_graph
-
         rng = random.Random(args.seed)
         wg = random_weighted_graph(rng, args.n, args.p, args.t)
     _write_or_print(serialize_wpoc(wg), args.output)
@@ -247,7 +246,7 @@ def cmd_generate(args: argparse.Namespace, caps: OracleCaps) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace, caps: OracleCaps) -> int:
-    report = selftest.run_selftest(scale=args.scale, caps=caps, jobs=args.jobs)
+    report = selftest.run_selftest(scale=args.scale, caps=caps)
     for check in report.checks:
         status = "pass" if check.passed else "fail"
         print(f"check {check.name} {status} {check.elapsed_ms:.0f}ms")
@@ -335,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the theorem-verification suites")
     p.add_argument("--scale", choices=("quick", "full"), default="quick")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.set_defaults(func=cmd_selftest)
 
     return parser

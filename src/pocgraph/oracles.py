@@ -813,10 +813,13 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     """All graphs on n vertices, one labeled representative per isomorphism
     class (the representative with the lexicographically least edge mask).
 
-    Exhaustive over all 2^(n(n-1)/2) edge sets, so desk scale only (n <= 7).
+    Exhaustive over all 2^(n(n-1)/2) edge sets against all n! relabelings,
+    so desk scale only: n = 7 would scan 2^21 masks under 5040 tables.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > 6:
+        raise ValueError(f"enumerate_graphs supports n <= 6, got n={n}")
     pairs = list(itertools.combinations(range(n), 2))
     for mask in _canonical_masks(n):
         edges = frozenset(

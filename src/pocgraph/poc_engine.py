@@ -20,6 +20,7 @@ from __future__ import annotations
 import graphlib
 from typing import Iterable, Sequence
 
+from . import oracles
 from .graph_core import Coloring, Graph, Orientation, WeightedGraph, normalize_weights
 
 
@@ -80,8 +81,6 @@ def layered_stack_coloring(g: WeightedGraph) -> Coloring:
     proper coloring, and the color blocks are stacked in weight order so the
     result is a POC with at most t * chi(G) colors.
     """
-    from . import oracles  # local import: oracles depends on this module
-
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     g = normalize_weights(g)

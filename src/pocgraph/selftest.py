@@ -4,8 +4,12 @@ acceptance tests.
 Each check compares an independent oracle against a construction or a closed
 formula on an exhaustive small family (graphs up to isomorphism at desk
 scale) plus seeded random instances. ``quick`` keeps every family small
-enough for about a minute of runtime; ``full`` runs the complete desk-scale
+enough for a few seconds of runtime; ``full`` runs the complete desk-scale
 families. Failures always name the offending instance.
+
+``CHECKS`` is the one table of checks: ``run_selftest`` runs its rows in
+order, and the acceptance tests are generated from its criterion numbers and
+time budgets.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ import dataclasses
 import itertools
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from . import multipartite as mp
@@ -63,12 +66,18 @@ class RunReport:
 class _Context:
     scale: str
     caps: OracleCaps
-    jobs: int
-    f_cache: dict[tuple[int, tuple[tuple[int, int], ...]], int]
+    f_values: dict[Graph, int] = field(default_factory=dict)
 
     @property
     def full(self) -> bool:
         return self.scale == "full"
+
+    def f(self, g: Graph) -> int:
+        """f(G), computed once per graph per run: theorem1 and the
+        Hamiltonian corollary read the same values."""
+        if g not in self.f_values:
+            self.f_values[g] = oracles.f_exact(g, self.caps)
+        return self.f_values[g]
 
 
 def _tag(g: WeightedGraph) -> str:
@@ -162,35 +171,13 @@ def check_chem_fixture(ctx: _Context) -> tuple[bool, str, str]:
 # ---------------------------------------------------------------------------
 
 
-def _f_worker(args: tuple[int, tuple[tuple[int, int], ...]]) -> int:
-    n, edges = args
-    return oracles.f_exact(Graph(n, frozenset(edges)))
-
-
-def _fill_f_cache(ctx: _Context, nmax: int) -> None:
-    todo = []
-    for n in range(1, nmax + 1):
-        for g in oracles.enumerate_graphs(n):
-            key = (g.n, tuple(g.sorted_edges()))
-            if key not in ctx.f_cache:
-                todo.append(key)
-    if ctx.jobs > 1 and len(todo) > 8:
-        with ProcessPoolExecutor(max_workers=ctx.jobs) as pool:
-            for key, value in zip(todo, pool.map(_f_worker, todo, chunksize=4)):
-                ctx.f_cache[key] = value
-    else:
-        for key in todo:
-            ctx.f_cache[key] = _f_worker(key)
-
-
 def check_theorem1(ctx: _Context) -> tuple[bool, str, str]:
     """f(G) equals the order of a longest path, over all graphs up to iso."""
     nmax = 6 if ctx.full else 5
-    _fill_f_cache(ctx, nmax)
     count = 0
     for n in range(1, nmax + 1):
         for g in oracles.enumerate_graphs(n):
-            f = ctx.f_cache[(g.n, tuple(g.sorted_edges()))]
+            f = ctx.f(g)
             lp = oracles.longest_path_exact(g, ctx.caps)
             if f != lp:
                 return False, f"f={f} longest_path={lp} on {_graph_tag(g)}", "f == longest_path"
@@ -457,11 +444,10 @@ def check_algorithm_bounds(ctx: _Context) -> tuple[bool, str, str]:
 def check_hamiltonian_corollary(ctx: _Context) -> tuple[bool, str, str]:
     """f(G) = n exactly when a direct search finds a Hamiltonian path."""
     nmax = 6 if ctx.full else 5
-    _fill_f_cache(ctx, nmax)
     count = 0
     for n in range(1, nmax + 1):
         for g in oracles.enumerate_graphs(n):
-            f = ctx.f_cache[(g.n, tuple(g.sorted_edges()))]
+            f = ctx.f(g)
             ham = oracles.has_hamiltonian_path(g)
             if (f == n) != ham:
                 return (
@@ -593,46 +579,58 @@ def check_chi_poc_t_monotone(ctx: _Context) -> tuple[bool, str, str]:
     return True, f"monotone in t with chi at t=1 on all graphs n <= {nmax}", "monotonicity"
 
 
-CHECKS: tuple[tuple[str, Callable[[_Context], tuple[bool, str, str]]], ...] = (
-    ("c4w-fixture", check_c4w_fixture),
-    ("k135-fixture", check_k135_fixture),
-    ("chem-fixture", check_chem_fixture),
-    ("theorem1-f-equals-longest-path", check_theorem1),
-    ("theorem3-chi-poc-equals-ell-prime", check_theorem3),
-    ("theorem4-bipartite-formula", check_theorem4),
-    ("proposition1-mocs-coloring", check_proposition1_exhaustive),
-    ("proposition2-h-matches-oracle", check_proposition2),
-    ("theorem2-ratio-and-sharpness", check_theorem2),
-    ("theorem2-constructive", check_theorem2_constructive),
-    ("algorithm-bounds-random", check_algorithm_bounds),
-    ("hamiltonian-path-corollary", check_hamiltonian_corollary),
-    ("wpoc-roundtrip", check_roundtrip),
-    ("normalize-weights", check_normalize),
-    ("complement-involution", check_complement),
-    ("greedy-poc-exhaustive", check_greedy_exhaustive),
-    ("oriented-greedy-all-orientations", check_oriented_greedy_all_orientations),
-    ("chi-poc-t-monotone", check_chi_poc_t_monotone),
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table: ``criterion`` is the acceptance criterion
+    the check gates (None if it gates none; the acceptance tests then run it
+    at quick scale), ``budget_s`` the wall time the acceptance tests allow
+    it."""
+
+    name: str
+    run: Callable[[_Context], tuple[bool, str, str]]
+    criterion: int | None
+    budget_s: float
+
+
+CHECKS: tuple[Check, ...] = (
+    Check("c4w-fixture", check_c4w_fixture, 1, 1.0),
+    Check("k135-fixture", check_k135_fixture, 2, 1.0),
+    Check("chem-fixture", check_chem_fixture, 9, 1.0),
+    Check("theorem1-f-equals-longest-path", check_theorem1, 3, 600.0),
+    Check("theorem3-chi-poc-equals-ell-prime", check_theorem3, 4, 300.0),
+    Check("theorem4-bipartite-formula", check_theorem4, 5, 300.0),
+    Check("proposition1-mocs-coloring", check_proposition1_exhaustive, 6, 600.0),
+    Check("proposition2-h-matches-oracle", check_proposition2, 6, 600.0),
+    Check("theorem2-ratio-and-sharpness", check_theorem2, 7, 120.0),
+    Check("theorem2-constructive", check_theorem2_constructive, None, 120.0),
+    Check("algorithm-bounds-random", check_algorithm_bounds, 8, 120.0),
+    Check("hamiltonian-path-corollary", check_hamiltonian_corollary, 10, 600.0),
+    Check("wpoc-roundtrip", check_roundtrip, None, 60.0),
+    Check("normalize-weights", check_normalize, None, 60.0),
+    Check("complement-involution", check_complement, None, 60.0),
+    Check("greedy-poc-exhaustive", check_greedy_exhaustive, None, 300.0),
+    Check("oriented-greedy-all-orientations", check_oriented_greedy_all_orientations, None, 120.0),
+    Check("chi-poc-t-monotone", check_chi_poc_t_monotone, None, 60.0),
 )
 
 
 def run_selftest(
     scale: str = "quick",
     caps: OracleCaps = DEFAULT_CAPS,
-    jobs: int = 1,
     names: tuple[str, ...] | None = None,
 ) -> RunReport:
     if scale not in ("quick", "full"):
         raise ValueError(f"scale must be 'quick' or 'full', got {scale!r}")
-    ctx = _Context(scale=scale, caps=caps, jobs=jobs, f_cache={})
+    ctx = _Context(scale, caps)
     results = []
-    for name, fn in CHECKS:
-        if names is not None and name not in names:
+    for check in CHECKS:
+        if names is not None and check.name not in names:
             continue
         start = time.perf_counter()
         try:
-            passed, observed, expected = fn(ctx)
+            passed, observed, expected = check.run(ctx)
         except Exception as exc:  # a crash is a failed check, not a crashed run
             passed, observed, expected = False, f"{type(exc).__name__}: {exc}", "no error"
         elapsed = (time.perf_counter() - start) * 1000.0
-        results.append(CheckResult(name, passed, observed, expected, elapsed))
+        results.append(CheckResult(check.name, passed, observed, expected, elapsed))
     return RunReport(scale=scale, checks=results)

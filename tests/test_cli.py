@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from pocgraph import cli, parse_coloring, parse_wpoc
+from pocgraph import cli, oracles, parse_coloring, parse_wpoc, selftest
 from pocgraph.fixtures import fixture_text
 
 
@@ -258,62 +258,42 @@ def test_generate_cycle_rejects_small_n(capsys):
 
 
 def test_selftest_subset_passes(capsys):
-    # fixture checks only: the full quick suite runs in the acceptance module
-    from pocgraph.selftest import run_selftest
-
-    report = run_selftest("quick", names=("c4w-fixture", "k135-fixture", "chem-fixture"))
+    # fixture checks only: every check runs under its own acceptance test
+    report = selftest.run_selftest("quick", names=("c4w-fixture", "k135-fixture", "chem-fixture"))
     assert report.ok
     assert len(report.checks) == 3
 
 
-def test_selftest_cli_reports_checks(capsys):
-    import pocgraph.selftest as st
+def _only_checks(monkeypatch, *names):
+    monkeypatch.setattr(selftest, "CHECKS", tuple(c for c in selftest.CHECKS if c.name in names))
 
-    original = st.CHECKS
-    st.CHECKS = tuple(c for c in st.CHECKS if c[0] in ("c4w-fixture", "chem-fixture"))
-    try:
-        rc, out, err = run(capsys, "selftest", "--scale", "quick")
-    finally:
-        st.CHECKS = original
+
+def test_selftest_cli_reports_checks(capsys, monkeypatch):
+    _only_checks(monkeypatch, "c4w-fixture", "chem-fixture")
+    rc, out, err = run(capsys, "selftest", "--scale", "quick")
     assert rc == 0
     assert "check c4w-fixture pass" in out
     assert "2/2 checks passed" in err
 
 
-def test_selftest_fault_injection_names_instance(capsys, monkeypatch):
-    """Deliberately breaking one oracle must fail the run and name the instance."""
-    import pocgraph.oracles as oracles_mod
-    from pocgraph.selftest import run_selftest
+def _break_ell_prime(monkeypatch):
+    real = oracles.ell_prime_exact
+    monkeypatch.setattr(oracles, "ell_prime_exact", lambda g, caps=None: real(g) + 1)
 
-    real = oracles_mod.ell_prime_exact
-    monkeypatch.setattr(
-        oracles_mod, "ell_prime_exact", lambda g, caps=None: real(g) + 1
-    )
-    report = run_selftest("quick", names=("theorem3-chi-poc-equals-ell-prime",))
+
+def test_selftest_fault_injection_names_instance(monkeypatch):
+    """Deliberately breaking one oracle must fail the run and name the instance."""
+    _break_ell_prime(monkeypatch)
+    report = selftest.run_selftest("quick", names=("theorem3-chi-poc-equals-ell-prime",))
     assert not report.ok
     failing = report.checks[0]
     assert "chi_poc=" in failing.observed and "n=" in failing.observed
 
-    monkeypatch.undo()
-    rc = cli.main(["selftest", "--scale", "quick"])
-    capsys.readouterr()
-    assert rc == 0  # every check passes once the fault is removed
-
 
 def test_selftest_exit_code_on_failure(capsys, monkeypatch):
-    import pocgraph.oracles as oracles_mod
-    import pocgraph.selftest as st
-
-    real = oracles_mod.ell_prime_exact
-    monkeypatch.setattr(
-        oracles_mod, "ell_prime_exact", lambda g, caps=None: real(g) + 1
-    )
-    original = st.CHECKS
-    st.CHECKS = tuple(c for c in st.CHECKS if c[0] == "theorem3-chi-poc-equals-ell-prime")
-    try:
-        rc, out, _ = run(capsys, "selftest", "--scale", "quick")
-    finally:
-        st.CHECKS = original
+    _break_ell_prime(monkeypatch)
+    _only_checks(monkeypatch, "theorem3-chi-poc-equals-ell-prime")
+    rc, out, _ = run(capsys, "selftest", "--scale", "quick")
     assert rc == 1
     assert "fail theorem3-chi-poc-equals-ell-prime" in out
     assert "n=" in out  # the failing instance is named

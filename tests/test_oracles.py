@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import functools
 import itertools
 import math
@@ -38,6 +39,7 @@ from pocgraph import (
     weak_orderings,
 )
 import pocgraph.oracles as oracles_mod
+import pocgraph.poc_engine as poc_engine_mod
 from pocgraph.oracles import WeakOrdering
 from pocgraph.poc_engine import dag_longest_path
 
@@ -694,6 +696,11 @@ def test_enumerate_graphs_counts_match_known_values():
     ]
 
 
+def test_enumerate_graphs_refuses_n_above_6():
+    with pytest.raises(ValueError, match="n <= 6"):
+        next(enumerate_graphs(7))
+
+
 def test_enumerate_graphs_pairwise_nonisomorphic_n4():
     def canon(g: Graph) -> frozenset:
         best = None
@@ -750,3 +757,48 @@ def test_f_equals_n_iff_hamiltonian_n5():
     for n in range(1, 6):
         for g in enumerate_graphs(n):
             assert (f_exact(g) == n) == has_hamiltonian_path(g)
+
+
+# ---------------------------------------------------------------------------
+# independence of the paired oracles
+# ---------------------------------------------------------------------------
+
+
+def _package_imports(module) -> set[str]:
+    """Names of the pocgraph modules that a module's source imports."""
+    with open(module.__file__) as source:
+        tree = ast.parse(source.read())
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {
+                a.name.removeprefix("pocgraph.") for a in node.names
+                if a.name.split(".")[0] == "pocgraph"
+            }
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "pocgraph":
+                continue
+            module_name = (node.module or "").removeprefix("pocgraph").lstrip(".")
+            found |= {module_name} if module_name else {a.name for a in node.names}
+    return found
+
+
+def test_oracles_import_nothing_but_graph_core():
+    assert _package_imports(oracles_mod) == {"graph_core"}
+    assert _package_imports(poc_engine_mod) == {"graph_core", "oracles"}
+
+
+def test_sweeps_never_consult_longest_paths(monkeypatch):
+    """f and chi_poc(G;t) are computed without ell(G) or Hamiltonicity, so
+    Theorem 1 and its corollary compare two independent computations."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a weighting sweep consulted a longest-path routine")
+
+    for name in ("longest_path_exact", "longest_path_witness", "has_hamiltonian_path"):
+        monkeypatch.setattr(oracles_mod, name, forbidden)
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            assert 1 <= oracles_mod.f_argmax(g)[0] <= n
+            for t in (1, 2, 3):
+                assert 1 <= oracles_mod.chi_poc_t_argmax(g, t)[0] <= n
