@@ -9,9 +9,12 @@ a meaningful cross-validation.
 
 The chi_POC backtracking has one body, ``_poc_search``, prepared once per
 graph: adjacency, degree order and clique bound do not depend on the weights.
-``chi_poc_exact`` prepares it for one weighting. The sweeps ``f_argmax`` and
-``chi_poc_t_argmax`` prepare it once and run it on every weak ordering, with
-two exact savings:
+It reads weights indexed by vertex id (index 0 unused). ``chi_poc_exact``
+prepares it for one weighting. The sweeps ``f_argmax`` and
+``chi_poc_t_argmax`` prepare it once per graph and run it on every weak
+ordering, walking one cached table of weightings per (n, max_blocks)
+(``_sweep_weightings``) that every graph and every t share, with two exact
+savings:
 
 - a weighting whose reversal w -> k + 1 - w came earlier is skipped. The map
   c -> theta + 1 - c turns the POCs of one into those of the other, so both
@@ -317,13 +320,15 @@ def _increasing_chain_bounds(
     paths, which yields hard per-vertex color bounds."""
     ending = [1] * len(adj)
     for v in by_weight:
+        wv = w[v]
         for u in adj[v]:
-            if w[u - 1] < w[v - 1] and ending[u] + 1 > ending[v]:
+            if w[u] < wv and ending[u] + 1 > ending[v]:
                 ending[v] = ending[u] + 1
     starting = [1] * len(adj)
     for v in reversed(by_weight):
+        wv = w[v]
         for u in adj[v]:
-            if w[u - 1] > w[v - 1] and starting[u] + 1 > starting[v]:
+            if w[u] > wv and starting[u] + 1 > starting[v]:
                 starting[v] = starting[u] + 1
     return ending, starting
 
@@ -332,8 +337,9 @@ def _poc_search(g: Graph) -> Callable[[Sequence[int], int], tuple[int, list[int]
     """The chi_POC backtracking, prepared once per graph.
 
     Returns ``solve(weights, above)``. ``weights`` are ranks 1..k indexed by
-    ``vertex - 1``. If chi_POC exceeds ``above``, solve returns it and a
-    witness as a colors list indexed by vertex id (index 0 unused). Otherwise
+    vertex id (index 0 unused), such as a row of ``_sweep_weightings``. If
+    chi_POC exceeds ``above``, solve returns it and a witness as a colors
+    list indexed by vertex id (index 0 unused). Otherwise
     it returns ``above`` and a POC within ``above`` colors: a sweep that only
     wants a value above its running best need not learn the exact one.
 
@@ -351,7 +357,7 @@ def _poc_search(g: Graph) -> Callable[[Sequence[int], int], tuple[int, list[int]
 
     def solve(w: Sequence[int], above: int) -> tuple[int, list[int]]:
         # stable, so ties keep the (-degree, v) order of base
-        order = sorted(base, key=lambda v: w[v - 1])
+        order = sorted(base, key=w.__getitem__)
         colors = [0] * (n + 1)
         ending, starting = _increasing_chain_bounds(adj, w, order)
         lower = max(max(ending), clique)
@@ -360,6 +366,7 @@ def _poc_search(g: Graph) -> Callable[[Sequence[int], int], tuple[int, list[int]
             if i == n:
                 return True
             v = order[i]
+            wv = w[v]
             lo = ending[v]
             hi = theta - starting[v] + 1
             taken = set()
@@ -367,7 +374,7 @@ def _poc_search(g: Graph) -> Callable[[Sequence[int], int], tuple[int, list[int]
                 cu = colors[u]
                 if not cu:
                     continue
-                if w[u - 1] < w[v - 1]:
+                if w[u] < wv:
                     if cu >= lo:
                         lo = cu + 1
                 else:  # equal weight: heavier neighbors are never colored yet
@@ -402,7 +409,7 @@ def chi_poc_exact(
         raise CapExceeded("chi_poc_n", caps.chi_poc_n, g.n)
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    theta, colors = _poc_search(g.graph)(normalize_weights(g).weights, 0)
+    theta, colors = _poc_search(g.graph)((0, *normalize_weights(g).weights), 0)
     return theta, Coloring(tuple(colors[1:]), theta)
 
 
@@ -633,6 +640,22 @@ def _unreversed_partitions(
             yield blocks
 
 
+@lru_cache(maxsize=None)
+def _sweep_weightings(n: int, max_blocks: int | None) -> bytes:
+    """The weightings of ``_unreversed_partitions(n, max_blocks)``, in its
+    order, packed into rows of n + 1 bytes: ``row[v]`` is vertex v's rank and
+    ``row[0] = 0``, so a row is a vertex-indexed weight list for
+    ``_poc_search``. Built once per key and shared by every graph and t."""
+    table = bytearray()
+    row = bytearray(n + 1)
+    for partition in _unreversed_partitions(n, max_blocks):
+        for rank, block in enumerate(partition, start=1):
+            for v in block:
+                row[v] = rank
+        table += row
+    return bytes(table)
+
+
 def _worst_weighting(
     g: Graph, caps: OracleCaps, max_blocks: int | None = None, blocks: int | None = None
 ) -> tuple[int, tuple[int, ...]]:
@@ -642,18 +665,17 @@ def _worst_weighting(
     if g.n > caps.chi_poc_n:
         raise CapExceeded("chi_poc_n", caps.chi_poc_n, g.n)
     solve = _poc_search(g)
-    w = [0] * g.n
+    table = _sweep_weightings(g.n, max_blocks)
+    stride = g.n + 1
     best = 0
     best_weights: tuple[int, ...] = ()
-    for partition in _unreversed_partitions(g.n, max_blocks):
-        if blocks is not None and len(partition) != blocks:
+    for start in range(0, len(table), stride):
+        row = table[start:start + stride]
+        if blocks is not None and max(row) != blocks:
             continue
-        for rank, block in enumerate(partition, start=1):
-            for v in block:
-                w[v - 1] = rank
-        value, _ = solve(w, best)
+        value, _ = solve(row, best)
         if value > best:
-            best, best_weights = value, tuple(w)
+            best, best_weights = value, tuple(row[1:])
             if best == g.n:  # the trivial ceiling: no weighting needs more
                 break
     return best, best_weights
@@ -664,8 +686,11 @@ def f_argmax(g: Graph, caps: OracleCaps = DEFAULT_CAPS) -> tuple[int, tuple[int,
     attaining it: the first in ``weak_orderings`` order.
 
     By rank normalization it suffices to range over weak orderings of the
-    vertex set. The sweep shares one prepared search (``_poc_search``) and
-    skips work in two exact ways:
+    vertex set. The sweep prepares one search per graph (``_poc_search``)
+    and walks the weightings of one cached table per (n, max_blocks)
+    (``_sweep_weightings``), whose rows are vertex-indexed weights (index 0
+    unused), built once and shared by every graph and every t. It skips work
+    in two exact ways:
 
     - a weighting whose reversal w -> k + 1 - w came earlier is skipped: the
       reversal maps each POC c to theta + 1 - c, so both have the same

@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -635,6 +636,78 @@ def test_sweep_keeps_the_first_of_each_reversed_pair():
             kept = list(oracles_mod._unreversed_partitions(n, max_blocks))
             assert kept == [p for p in order if position[p] <= position[p[::-1]]]
             assert len(kept) == 1 + (len(order) - 1) // 2
+
+
+def _table_rows(n: int, max_blocks: int | None) -> list[tuple[int, ...]]:
+    table = oracles_mod._sweep_weightings(n, max_blocks)
+    assert type(table) is bytes and len(table) % (n + 1) == 0
+    rows = [table[i:i + n + 1] for i in range(0, len(table), n + 1)]
+    assert all(row[0] == 0 for row in rows)
+    return [tuple(row[1:]) for row in rows]
+
+
+def test_sweep_table_is_the_unreversed_weak_orderings():
+    keys = [(n, b) for n in range(1, 7) for b in (None, 1, 2, 3)] + [(7, 3), (8, 3)]
+    for n, max_blocks in keys:
+        order = [wo.weights() for wo in weak_orderings(n, max_blocks)]
+        position = {w: i for i, w in enumerate(order)}
+        expected = [w for w in order if position[w] <= position[_reversed(w)]]
+        assert _table_rows(n, max_blocks) == expected, (n, max_blocks)
+    # an argmax is a tuple of ints, not bytes or a slice of the table
+    for n in range(1, 5):
+        for g in enumerate_graphs(n):
+            results = [f_argmax(g)]
+            results += [chi_poc_t_argmax(g, t) for t in (1, 2, 3)]
+            results += [chi_poc_t_argmax(g, t, surjective_only=True) for t in range(1, n + 1)]
+            for _, weights in results:
+                assert type(weights) is tuple and len(weights) == n, (g, weights)
+                assert all(type(x) is int for x in weights), (g, weights)
+
+
+def test_sweep_table_is_built_once_per_key(monkeypatch):
+    real = oracles_mod._ordered_partitions
+    generations: dict[tuple[int, int | None], int] = {}
+
+    def counting(items, max_blocks):
+        # the generator recurses through the module name: count only the
+        # calls that do not come from its own body
+        if sys._getframe(1).f_code is not real.__code__:
+            key = (len(items), max_blocks)
+            generations[key] = generations.get(key, 0) + 1
+        return real(items, max_blocks)
+
+    oracles_mod._sweep_weightings.cache_clear()
+    monkeypatch.setattr(oracles_mod, "_ordered_partitions", counting)
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            f_argmax(g)
+            for t in (1, 2, 3):
+                chi_poc_t_argmax(g, t)
+    keys = {(n, b) for n in range(1, 6) for b in (None, 1, min(2, n), min(3, n))}
+    assert set(generations) == keys
+    assert max(generations.values()) == 1, generations
+
+
+def test_sweep_caps_refuse_before_building_a_table():
+    before = oracles_mod._sweep_weightings.cache_info()
+    g = path_graph(9)
+    with pytest.raises(CapExceeded) as info:
+        f_argmax(g)
+    assert info.value.cap == "f_n"
+    for surjective_only in (False, True):
+        with pytest.raises(CapExceeded) as info:
+            chi_poc_t_argmax(g, 3, surjective_only=surjective_only)
+        assert info.value.cap == "chi_poc_t_n"
+    small = OracleCaps(chi_poc_n=4)
+    with pytest.raises(CapExceeded) as info:
+        f_argmax(path_graph(5), small)
+    assert info.value.cap == "chi_poc_n"
+    with pytest.raises(CapExceeded) as info:
+        chi_poc_t_argmax(path_graph(5), 2, small)
+    assert info.value.cap == "chi_poc_n"
+    after = oracles_mod._sweep_weightings.cache_info()
+    assert after.currsize == before.currsize
+    assert after.hits + after.misses == before.hits + before.misses  # not even looked up
 
 
 # ---------------------------------------------------------------------------
