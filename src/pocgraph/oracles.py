@@ -13,18 +13,22 @@ It reads weights indexed by vertex id (index 0 unused). ``chi_poc_exact``
 prepares it for one weighting. The sweeps ``f_argmax`` and
 ``chi_poc_t_argmax`` prepare it once per graph and run it on every weak
 ordering, walking one cached table of weightings per (n, max_blocks)
-(``_sweep_weightings``) that every graph and every t share, with two exact
+(``_sweep_weightings``) that every graph and every t share, with three exact
 savings:
 
 - a weighting whose reversal w -> k + 1 - w came earlier is skipped. The map
   c -> theta + 1 - c turns the POCs of one into those of the other, so both
   have the same chi_POC, and the best is only replaced on a strictly greater
   value;
+- a weighting whose comparison pattern on the edges (which end is heavier,
+  or neither) came earlier in the same sweep is skipped. A POC's conditions
+  read the weights only through that pattern, so both have the same chi_POC,
+  and once the first was solved the best is at least that value;
 - a weighting is first tried at the running best's palette. If it has a POC
   there, it cannot beat the best; if not, no smaller palette works either,
   since a POC within theta colors is one within theta + 1.
 
-Neither saving consults a longest path, so f stays independent of ell(G).
+No saving consults a longest path, so f stays independent of ell(G).
 
 ``ell_prime_orientation`` only chooses the orientation of each equal-weight
 class, since every other edge is forced heavier -> lighter. It takes the
@@ -641,19 +645,45 @@ def _unreversed_partitions(
 
 
 @lru_cache(maxsize=None)
-def _sweep_weightings(n: int, max_blocks: int | None) -> bytes:
+def _sweep_weightings(n: int, max_blocks: int | None) -> tuple[bytes, bytes]:
     """The weightings of ``_unreversed_partitions(n, max_blocks)``, in its
-    order, packed into rows of n + 1 bytes: ``row[v]`` is vertex v's rank and
-    ``row[0] = 0``, so a row is a vertex-indexed weight list for
-    ``_poc_search``. Built once per key and shared by every graph and t."""
-    table = bytearray()
+    order, as two tables built in one pass, once per key, and shared by every
+    graph and t.
+
+    ``ranks`` packs each weighting into a row of n + 1 bytes: ``row[v]`` is
+    vertex v's rank and ``row[0] = 0``, so a row is a vertex-indexed weight
+    list for ``_poc_search``. ``codes`` packs the same weighting's order into
+    ``(n * n + 7) // 8`` little-endian bytes: bits ``(v - 1) * n`` upward
+    hold vertex v's field, whose bit u - 1 is set when u is strictly lighter
+    than v. ANDed with a graph's adjacency in the same layout, a code keeps
+    each vertex's lighter neighbours: the weighting's comparison pattern on
+    the edges, which fixes chi_POC (see ``f_argmax``). ``_worst_weighting``
+    solves only the first row of each pattern in its sweep.
+    """
+    ranks = bytearray()
+    codes = bytearray()
+    width = (n * n + 7) // 8
     row = bytearray(n + 1)
+    # per block: its vertex set, and bit 0 of each member's field, so that
+    # lighter * spread writes the set ``lighter`` into every member's field
+    masks: dict[tuple[int, ...], tuple[int, int]] = {}
     for partition in _unreversed_partitions(n, max_blocks):
+        code = lighter = 0
         for rank, block in enumerate(partition, start=1):
             for v in block:
                 row[v] = rank
-        table += row
-    return bytes(table)
+            pair = masks.get(block)
+            if pair is None:
+                pair = masks[block] = (
+                    sum(1 << v - 1 for v in block),
+                    sum(1 << (v - 1) * n for v in block),
+                )
+            members, spread = pair
+            code += lighter * spread
+            lighter += members
+        ranks += row
+        codes += code.to_bytes(width, "little")
+    return bytes(ranks), bytes(codes)
 
 
 def _worst_weighting(
@@ -664,15 +694,25 @@ def _worst_weighting(
     weighting in ``weak_orderings`` order that attains it."""
     if g.n > caps.chi_poc_n:
         raise CapExceeded("chi_poc_n", caps.chi_poc_n, g.n)
+    n = g.n
     solve = _poc_search(g)
-    table = _sweep_weightings(g.n, max_blocks)
-    stride = g.n + 1
+    ranks, codes = _sweep_weightings(n, max_blocks)
+    stride = n + 1
+    width = (n * n + 7) // 8
+    adjacency = 0  # the layout of a code: v's field holds v's neighbours
+    for u, v in g.edges:
+        adjacency |= 1 << (u - 1) * n + v - 1 | 1 << (v - 1) * n + u - 1
+    seen: set[int] = set()
     best = 0
     best_weights: tuple[int, ...] = ()
-    for start in range(0, len(table), stride):
-        row = table[start:start + stride]
+    for start, at in zip(range(0, len(ranks), stride), range(0, len(codes), width)):
+        pattern = int.from_bytes(codes[at:at + width], "little") & adjacency
+        if pattern in seen:  # seen only holds patterns of rows that passed the filter
+            continue
+        row = ranks[start:start + stride]
         if blocks is not None and max(row) != blocks:
             continue
+        seen.add(pattern)
         value, _ = solve(row, best)
         if value > best:
             best, best_weights = value, tuple(row[1:])
@@ -690,11 +730,18 @@ def f_argmax(g: Graph, caps: OracleCaps = DEFAULT_CAPS) -> tuple[int, tuple[int,
     and walks the weightings of one cached table per (n, max_blocks)
     (``_sweep_weightings``), whose rows are vertex-indexed weights (index 0
     unused), built once and shared by every graph and every t. It skips work
-    in two exact ways:
+    in three exact ways:
 
     - a weighting whose reversal w -> k + 1 - w came earlier is skipped: the
       reversal maps each POC c to theta + 1 - c, so both have the same
       chi_POC, and the best is replaced only on a strictly greater value;
+    - a weighting is skipped before it is solved when an earlier one of the
+      sweep has the same comparison pattern on the edges: the row's code
+      ANDed with g's adjacency, which names each vertex's strictly lighter
+      neighbours. A POC's conditions compare the weights of an edge's ends
+      and nothing else, so the pattern fixes chi_POC. Solving its first row
+      left the best at least that value, so the witness is still the first
+      row to attain the maximum. The pattern reads no longest path;
     - a weighting is first tried at the running best's palette. A POC there
       means it cannot beat the best; none there means none with fewer colors
       (a POC within theta colors is one within theta + 1), so its search goes

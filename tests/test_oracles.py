@@ -598,8 +598,9 @@ def test_sweeps_match_reference_sweep():
 
 
 def test_multipartite_sweeps_match_reference_sweep():
-    caps = OracleCaps(chi_poc_t_n=8)
-    for parts in ((2, 2, 3), (1, 3, 4)):
+    # K(3,3,3): a 9-vertex code is 81 bits, wider than a 64-bit word
+    caps = OracleCaps(chi_poc_t_n=9)
+    for parts in ((2, 2, 3), (1, 3, 4), (3, 3, 3)):
         g = complete_multipartite_graph(parts)
         for t in (1, 2, 3):
             assert chi_poc_t_argmax(g, t, caps) == _reference_sweep(g, t), (parts, t)
@@ -638,12 +639,29 @@ def test_sweep_keeps_the_first_of_each_reversed_pair():
             assert len(kept) == 1 + (len(order) - 1) // 2
 
 
-def _table_rows(n: int, max_blocks: int | None) -> list[tuple[int, ...]]:
-    table = oracles_mod._sweep_weightings(n, max_blocks)
-    assert type(table) is bytes and len(table) % (n + 1) == 0
-    rows = [table[i:i + n + 1] for i in range(0, len(table), n + 1)]
+def _table_rows(n: int, max_blocks: int | None) -> list[tuple[tuple[int, ...], int]]:
+    """The table's rows as (weights, decoded code) pairs."""
+    ranks, codes = oracles_mod._sweep_weightings(n, max_blocks)
+    width = (n * n + 7) // 8
+    assert type(ranks) is bytes and type(codes) is bytes
+    assert len(ranks) % (n + 1) == 0 and len(codes) == len(ranks) // (n + 1) * width
+    rows = [ranks[i:i + n + 1] for i in range(0, len(ranks), n + 1)]
     assert all(row[0] == 0 for row in rows)
-    return [tuple(row[1:]) for row in rows]
+    decoded = [
+        int.from_bytes(codes[i:i + width], "little") for i in range(0, len(codes), width)
+    ]
+    return [(tuple(row[1:]), code) for row, code in zip(rows, decoded)]
+
+
+def _strictly_lighter(weights: tuple[int, ...]) -> int:
+    """Vertex v's field (bits (v-1)*n upward) is the set of vertices lighter than v."""
+    n = len(weights)
+    return sum(
+        1 << (v * n + u)
+        for v in range(n)
+        for u in range(n)
+        if weights[u] < weights[v]
+    )
 
 
 def test_sweep_table_is_the_unreversed_weak_orderings():
@@ -652,7 +670,10 @@ def test_sweep_table_is_the_unreversed_weak_orderings():
         order = [wo.weights() for wo in weak_orderings(n, max_blocks)]
         position = {w: i for i, w in enumerate(order)}
         expected = [w for w in order if position[w] <= position[_reversed(w)]]
-        assert _table_rows(n, max_blocks) == expected, (n, max_blocks)
+        rows = _table_rows(n, max_blocks)
+        assert [weights for weights, _ in rows] == expected, (n, max_blocks)
+        for weights, code in rows:
+            assert code == _strictly_lighter(weights), (n, max_blocks, weights)
     # an argmax is a tuple of ints, not bytes or a slice of the table
     for n in range(1, 5):
         for g in enumerate_graphs(n):
@@ -708,6 +729,69 @@ def test_sweep_caps_refuse_before_building_a_table():
     after = oracles_mod._sweep_weightings.cache_info()
     assert after.currsize == before.currsize
     assert after.hits + after.misses == before.hits + before.misses  # not even looked up
+
+
+def _edge_signs(g: Graph, weights: tuple[int, ...]) -> tuple[int, ...]:
+    """Per edge (u, v), u < v: 1 if u is heavier, -1 if lighter, 0 if equal."""
+    return tuple(
+        (weights[u - 1] > weights[v - 1]) - (weights[u - 1] < weights[v - 1])
+        for u, v in g.sorted_edges()
+    )
+
+
+def test_sweep_pattern_key_is_exact(monkeypatch):
+    """A row's code ANDed with the graph's adjacency is its comparison pattern
+    on the edges, which fixes chi_POC, so a sweep solves each pattern once."""
+    for n in range(1, 6):
+        for max_blocks in (None, 1, 2, 3):
+            rows = _table_rows(n, max_blocks)
+            for g in enumerate_graphs(n):
+                adjacency = sum(
+                    1 << ((v - 1) * n + u - 1) for v in range(1, n + 1) for u in g.adjacency[v]
+                )
+                signs_of: dict[int, tuple[int, ...]] = {}
+                key_of: dict[tuple[int, ...], int] = {}
+                chi_of: dict[int, int] = {}
+                for weights, code in rows:
+                    key, signs = code & adjacency, _edge_signs(g, weights)
+                    assert signs_of.setdefault(key, signs) == signs, (g, weights)
+                    assert key_of.setdefault(signs, key) == key, (g, weights)
+                    chi = chi_poc_exact(WeightedGraph(g, weights))[0]
+                    assert chi_of.setdefault(key, chi) == chi, (g, weights)
+
+    real = oracles_mod._poc_search
+    solved = 0
+
+    def counting(g):
+        solve = real(g)
+
+        def counted(w, above):
+            nonlocal solved
+            solved += 1
+            return solve(w, above)
+
+        return counted
+
+    monkeypatch.setattr(oracles_mod, "_poc_search", counting)
+    assert f_argmax(Graph(6, frozenset()))[0] == 1
+    assert solved == 1
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            sweeps = [(None, None, lambda: f_argmax(g))]
+            for t in (1, 2, 3):
+                b = min(t, n)
+                sweeps.append((b, None, lambda t=t: chi_poc_t_argmax(g, t)))
+                if t <= n:
+                    sweeps.append((b, t, lambda t=t: chi_poc_t_argmax(g, t, surjective_only=True)))
+            for max_blocks, blocks, sweep in sweeps:
+                patterns = {
+                    _edge_signs(g, weights)
+                    for weights, _ in _table_rows(n, max_blocks)
+                    if blocks is None or max(weights) == blocks
+                }
+                solved = 0
+                sweep()
+                assert 1 <= solved <= len(patterns), (g, max_blocks, blocks)
 
 
 # ---------------------------------------------------------------------------
