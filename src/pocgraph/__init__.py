@@ -52,7 +52,6 @@ from .oracles import (
     DEFAULT_CAPS,
     CapExceeded,
     OracleCaps,
-    WeakOrdering,
     chi_poc_exact,
     chi_poc_t,
     chi_poc_t_argmax,

@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+from typing import Iterator
 
 from .graph_core import (
     Coloring,
@@ -412,14 +413,26 @@ def g_value(inst: MultipartiteInstance, caps: OracleCaps = DEFAULT_CAPS) -> int:
     return best
 
 
+def part_weightings(part_sizes: tuple[int, ...], t: int) -> Iterator[tuple[int, ...]]:
+    """The weightings with values in 1..t, one sorted weight multiset per part
+    (vertices inside a part are interchangeable), in ``itertools.product``
+    order over the parts, each rank-normalized. Different choices can
+    normalize to the same weights; nothing is deduplicated."""
+    for assignment in itertools.product(
+        *(itertools.combinations_with_replacement(range(1, t + 1), size) for size in part_sizes)
+    ):
+        raw = tuple(w for group in assignment for w in group)
+        rank = {w: i for i, w in enumerate(sorted(set(raw)), start=1)}
+        yield tuple(rank[w] for w in raw)
+
+
 def h_argmax(
     part_sizes: tuple[int, ...], t: int, caps: OracleCaps = DEFAULT_CAPS
 ) -> tuple[int, tuple[int, ...]]:
     """max of g over all weightings with values in 1..t, plus a weighting
     attaining it.
 
-    Weightings are enumerated as one sorted weight multiset per part (vertices
-    inside a part are interchangeable), then rank-normalized and deduplicated.
+    Weightings come from ``part_weightings``, deduplicated.
     """
     if len(part_sizes) < 2:
         raise ValueError("need at least 2 parts")
@@ -430,17 +443,10 @@ def h_argmax(
         combos *= comb(size + t - 1, t - 1)
     if combos > caps.h_weightings:
         raise CapExceeded("h_weightings", caps.h_weightings, combos)
-    per_part = [
-        list(itertools.combinations_with_replacement(range(1, t + 1), size))
-        for size in part_sizes
-    ]
     seen: set[tuple[int, ...]] = set()
     best = 0
     best_weights: tuple[int, ...] = ()
-    for assignment in itertools.product(*per_part):
-        raw = tuple(w for group in assignment for w in group)
-        rank = {w: i for i, w in enumerate(sorted(set(raw)), start=1)}
-        weights = tuple(rank[w] for w in raw)
+    for weights in part_weightings(part_sizes, t):
         if weights in seen:
             continue
         seen.add(weights)

@@ -13,21 +13,9 @@ It reads weights indexed by vertex id (index 0 unused). ``chi_poc_exact``
 prepares it for one weighting. The sweeps ``f_argmax`` and
 ``chi_poc_t_argmax`` prepare it once per graph and run it on every weak
 ordering, walking one cached table of weightings per (n, max_blocks)
-(``_sweep_weightings``) that every graph and every t share, with three exact
-savings:
-
-- a weighting whose reversal w -> k + 1 - w came earlier is skipped. The map
-  c -> theta + 1 - c turns the POCs of one into those of the other, so both
-  have the same chi_POC, and the best is only replaced on a strictly greater
-  value;
-- a weighting whose comparison pattern on the edges (which end is heavier,
-  or neither) came earlier in the same sweep is skipped. A POC's conditions
-  read the weights only through that pattern, so both have the same chi_POC,
-  and once the first was solved the best is at least that value;
-- a weighting is first tried at the running best's palette. If it has a POC
-  there, it cannot beat the best; if not, no smaller palette works either,
-  since a POC within theta colors is one within theta + 1.
-
+(``_sweep_weightings``) that every graph and every t share. They skip
+reversed weightings, skip repeated edge-comparison patterns and try the
+running best's palette first: three exact savings, set out in ``f_argmax``.
 No saving consults a longest path, so f stays independent of ell(G).
 
 ``ell_prime_orientation`` only chooses the orientation of each equal-weight
@@ -92,6 +80,8 @@ def caps_with_overrides(spec: str, base: OracleCaps = DEFAULT_CAPS) -> OracleCap
         name, sep, value = item.partition("=")
         if not sep or name not in _CAP_NAMES:
             raise ValueError(f"unknown cap override {item!r} (known: {', '.join(_CAP_NAMES)})")
+        if not value.strip().isdecimal():
+            raise ValueError(f"cap override {item!r} needs a non-negative integer")
         values[name] = int(value)
     return OracleCaps(**values)
 
@@ -101,58 +91,50 @@ def caps_with_overrides(spec: str, base: OracleCaps = DEFAULT_CAPS) -> OracleCap
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeakOrdering:
-    """Ordered partition of 1..n into nonempty blocks; block index = weight."""
+def weak_orderings(n: int, max_blocks: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Every ordered set partition of 1..n (optionally with at most
+    max_blocks blocks) as a weight tuple: ``w[v - 1]`` is the rank 1..k of
+    v's block.
 
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for blk in self.blocks:
-            if not blk:
-                raise ValueError("empty block in weak ordering")
-            seen.update(blk)
-        n = sum(len(b) for b in self.blocks)
-        if seen != set(range(1, n + 1)):
-            raise ValueError("blocks must partition 1..n")
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def weights(self) -> tuple[int, ...]:
-        w = [0] * self.n
-        for value, blk in enumerate(self.blocks, start=1):
-            for v in blk:
-                w[v - 1] = value
-        return tuple(w)
-
-
-def _ordered_partitions(
-    items: tuple[int, ...], max_blocks: int | None
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not items:
-        yield ()
-        return
-    if max_blocks is not None and max_blocks <= 0:
-        return
-    rest_max = None if max_blocks is None else max_blocks - 1
-    # blocks are position-distinguishable, so the first block is any nonempty subset
-    for size in range(1, len(items) + 1):
-        for block in itertools.combinations(items, size):
-            chosen = set(block)
-            rest = tuple(x for x in items if x not in chosen)
-            for others in _ordered_partitions(rest, rest_max):
-                yield (block,) + others
-
-
-def weak_orderings(n: int, max_blocks: int | None = None) -> Iterator[WeakOrdering]:
-    """All ordered set partitions of 1..n (optionally with at most max_blocks blocks)."""
+    The first block is any nonempty subset, taken by size and then in
+    ``itertools.combinations`` order, and the rest follows recursively. Each
+    remainder's (block, rest) splits are listed once per call. The last
+    allowed block takes every remaining vertex, so a block cap walks no dead
+    branch.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    for blocks in _ordered_partitions(tuple(range(1, n + 1)), max_blocks):
-        yield WeakOrdering(blocks)
+    if n == 0:
+        yield ()
+        return
+    last = n if max_blocks is None else min(max_blocks, n)
+    if last <= 0:
+        return
+    w = [0] * n
+    splits: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+
+    def extend(items: tuple[int, ...], rank: int) -> Iterator[tuple[int, ...]]:
+        if rank == last:
+            for v in items:
+                w[v] = rank
+            yield tuple(w)
+            return
+        pairs = splits.get(items)
+        if pairs is None:
+            pairs = splits[items] = [
+                (block, tuple(x for x in items if x not in block))
+                for size in range(1, len(items) + 1)
+                for block in itertools.combinations(items, size)
+            ]
+        for block, rest in pairs:
+            for v in block:
+                w[v] = rank
+            if rest:
+                yield from extend(rest, rank + 1)
+            else:
+                yield tuple(w)
+
+    yield from extend(tuple(range(n)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -626,29 +608,19 @@ def ell_prime_exact(g: WeightedGraph, caps: OracleCaps = DEFAULT_CAPS) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _unreversed_partitions(
-    n: int, max_blocks: int | None
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The ordered partitions of 1..n (n >= 1) in ``_ordered_partitions``
-    order, less each one whose reversal came earlier.
-
-    The first block is picked from the whole vertex set by size, then in
-    lexicographic order, so the reversal (B_k, ..., B_1) of (B_1, ..., B_k)
-    came earlier exactly when (|B_k|, B_k) < (|B_1|, B_1). For k >= 2 the
-    two blocks differ, so one partition of each reversed pair is kept: the
-    earlier one. The one-block partition is its own reversal and is kept.
-    """
-    for blocks in _ordered_partitions(tuple(range(1, n + 1)), max_blocks):
-        first, last = blocks[0], blocks[-1]
-        if (len(last), last) >= (len(first), first):
-            yield blocks
-
-
 @lru_cache(maxsize=None)
 def _sweep_weightings(n: int, max_blocks: int | None) -> tuple[bytes, bytes]:
-    """The weightings of ``_unreversed_partitions(n, max_blocks)``, in its
-    order, as two tables built in one pass, once per key, and shared by every
-    graph and t.
+    """The weightings of ``weak_orderings(n, max_blocks)`` (n >= 1), in its
+    order, less each one whose reversal came earlier (see ``f_argmax``), as
+    two tables built in one pass, once per key, and shared by every graph
+    and t.
+
+    The first block is picked by size, then in lexicographic order, so the
+    reversal of (B_1, ..., B_k) came earlier exactly when
+    (|B_k|, B_k) < (|B_1|, B_1). Two distinct blocks are disjoint, so their
+    sorted tuples first differ at their least members, which
+    ``w.count(rank)`` and ``w.index(rank)`` read off the tuple. A one-block
+    weighting is its own reversal and is kept.
 
     ``ranks`` packs each weighting into a row of n + 1 bytes: ``row[v]`` is
     vertex v's rank and ``row[0] = 0``, so a row is a vertex-indexed weight
@@ -657,31 +629,29 @@ def _sweep_weightings(n: int, max_blocks: int | None) -> tuple[bytes, bytes]:
     hold vertex v's field, whose bit u - 1 is set when u is strictly lighter
     than v. ANDed with a graph's adjacency in the same layout, a code keeps
     each vertex's lighter neighbours: the weighting's comparison pattern on
-    the edges, which fixes chi_POC (see ``f_argmax``). ``_worst_weighting``
-    solves only the first row of each pattern in its sweep.
+    the edges. ``_worst_weighting`` solves only the first row of each pattern
+    in its sweep.
     """
     ranks = bytearray()
     codes = bytearray()
     width = (n * n + 7) // 8
-    row = bytearray(n + 1)
-    # per block: its vertex set, and bit 0 of each member's field, so that
-    # lighter * spread writes the set ``lighter`` into every member's field
-    masks: dict[tuple[int, ...], tuple[int, int]] = {}
-    for partition in _unreversed_partitions(n, max_blocks):
+    bits = [1 << v for v in range(n)]
+    # bit 0 of each member's field, so that lighter * spread[members] writes
+    # the set ``lighter`` into every member's field
+    spread = [sum(1 << v * n for v in range(n) if mask >> v & 1) for mask in range(1 << n)]
+    for w in weak_orderings(n, max_blocks):
+        k = max(w)
+        if (w.count(k), w.index(k)) < (w.count(1), w.index(1)):
+            continue
+        members = [0] * (k + 1)
+        for rank, bit in zip(w, bits):
+            members[rank] |= bit
         code = lighter = 0
-        for rank, block in enumerate(partition, start=1):
-            for v in block:
-                row[v] = rank
-            pair = masks.get(block)
-            if pair is None:
-                pair = masks[block] = (
-                    sum(1 << v - 1 for v in block),
-                    sum(1 << (v - 1) * n for v in block),
-                )
-            members, spread = pair
-            code += lighter * spread
-            lighter += members
-        ranks += row
+        for block in members:
+            code += lighter * spread[block]
+            lighter += block
+        ranks.append(0)
+        ranks += bytes(w)
         codes += code.to_bytes(width, "little")
     return bytes(ranks), bytes(codes)
 
@@ -782,7 +752,9 @@ def chi_poc_t_argmax(
         raise ValueError("graph must have at least one vertex")
     if surjective_only and t > g.n:
         raise ValueError(f"no surjective weighting with {t} values on {g.n} vertices")
-    return _worst_weighting(g, caps, min(t, g.n), t if surjective_only else None)
+    # t >= n allows every weak ordering: the same table as f's
+    max_blocks = None if t >= g.n else t
+    return _worst_weighting(g, caps, max_blocks, t if surjective_only else None)
 
 
 def chi_poc_t(

@@ -92,12 +92,6 @@ def _graph_tag(g: Graph) -> str:
     return f"n={g.n} e={edges or '-'}"
 
 
-def _weightings(n: int) -> list[tuple[int, ...]]:
-    """Every weak ordering of 1..n as a weight tuple, built once per n and
-    shared by all graphs on n vertices."""
-    return [wo.weights() for wo in oracles.weak_orderings(n)]
-
-
 # ---------------------------------------------------------------------------
 # Fixture checks
 # ---------------------------------------------------------------------------
@@ -208,7 +202,7 @@ def check_theorem3(ctx: _Context) -> tuple[bool, str, str]:
     rounds = 500 if ctx.full else 150
     count = 0
     for n in range(1, nmax + 1):
-        weightings = _weightings(n)
+        weightings = list(oracles.weak_orderings(n))
         for g in oracles.enumerate_graphs(n):
             for weights in weightings:
                 problem = _theorem3_one(ctx, WeightedGraph(g, weights))
@@ -303,15 +297,8 @@ def check_proposition1_exhaustive(ctx: _Context) -> tuple[bool, str, str]:
     for sizes in _prop2_family():
         if not ctx.full and sum(sizes) > 7:
             continue
-        for assignment in itertools.product(
-            *(
-                itertools.combinations_with_replacement(range(1, 4), size)
-                for size in sizes
-            )
-        ):
-            raw = tuple(w for group in assignment for w in group)
-            rank = {w: i for i, w in enumerate(sorted(set(raw)), start=1)}
-            inst = mp.MultipartiteInstance(sizes, tuple(rank[w] for w in raw))
+        for weights in mp.part_weightings(sizes, 3):
+            inst = mp.MultipartiteInstance(sizes, weights)
             for mocs in mp.enumerate_mocs(inst, ctx.caps):
                 s = mp.find_max_spaths(inst, mocs)
                 try:
@@ -378,7 +365,7 @@ def check_theorem2_constructive(ctx: _Context) -> tuple[bool, str, str]:
     nmax = 5 if ctx.full else 4
     count = 0
     for n in range(2, nmax + 1):
-        weightings = _weightings(n)
+        weightings = list(oracles.weak_orderings(n))
         for g in oracles.enumerate_graphs(n):
             if g.m == 0:
                 continue
@@ -518,7 +505,7 @@ def check_greedy_exhaustive(ctx: _Context) -> tuple[bool, str, str]:
     nmax = 6 if ctx.full else 5
     count = 0
     for n in range(1, nmax + 1):
-        weightings = _weightings(n)
+        weightings = list(oracles.weak_orderings(n))
         for g in oracles.enumerate_graphs(n):
             lp = oracles.longest_path_exact(g, ctx.caps)
             for weights in weightings:
@@ -542,7 +529,7 @@ def check_oriented_greedy_all_orientations(ctx: _Context) -> tuple[bool, str, st
     nmax = 4 if ctx.full else 3
     count = 0
     for n in range(1, nmax + 1):
-        weightings = _weightings(n)
+        weightings = list(oracles.weak_orderings(n))
         for g in oracles.enumerate_graphs(n):
             edges = g.sorted_edges()
             for weights in weightings:

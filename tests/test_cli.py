@@ -187,6 +187,14 @@ def test_unknown_cap_exits_2(capsys, monkeypatch, c4w_file):
     assert rc == 2 and "unknown cap" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "", "2.5"])
+def test_bad_cap_value_exits_2_naming_the_cap(capsys, monkeypatch, c4w_file, value):
+    monkeypatch.setenv("POC_CAPS", f"chi_poc_n=12,f_n={value}")
+    rc, out, err = run(capsys, "oracle", c4w_file, "chipoc")
+    assert rc == 2 and out == ""
+    assert f"'f_n={value}'" in err and "non-negative integer" in err
+
+
 # ---------------------------------------------------------------------------
 # multipartite
 # ---------------------------------------------------------------------------

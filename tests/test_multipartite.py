@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from pocgraph import (
     validate_spaths,
     weak_orderings,
 )
+from pocgraph.multipartite import part_weightings
 from pocgraph.oracles import enumerate_graphs
 
 
@@ -265,8 +267,8 @@ def test_mocs_coloring_2x2_uses_three_colors():
 def test_mocs_coloring_exact_count_over_family():
     for sizes in [(1, 2), (2, 2), (1, 1, 2), (2, 2, 2), (1, 2, 3)]:
         n = sum(sizes)
-        for wo in weak_orderings(n, max_blocks=3):
-            inst = MultipartiteInstance(sizes, wo.weights())
+        for weights in weak_orderings(n, max_blocks=3):
+            inst = MultipartiteInstance(sizes, weights)
             for mocs in enumerate_mocs(inst):
                 s = find_max_spaths(inst, mocs)
                 c = mocs_coloring(inst, mocs, s)
@@ -296,6 +298,29 @@ def test_h_value_examples(sizes, t, value):
 def test_h_value_cap():
     with pytest.raises(CapExceeded, match="h_weightings"):
         h_value((3, 3), 3, OracleCaps(h_weightings=5))
+
+
+def test_part_weightings_are_the_sorted_weak_orderings():
+    # every choice of one weight multiset per part, in product order; their
+    # normal forms are the weak orderings with at most t blocks that are
+    # sorted inside each part
+    for sizes in [(1, 2), (2, 2), (1, 1, 2), (2, 3), (1, 2, 3)]:
+        n = sum(sizes)
+        starts = list(itertools.accumulate(sizes, initial=0))
+        for t in (1, 2, 3, 4):
+            listed = list(part_weightings(sizes, t))
+            choices = 1
+            for size in sizes:
+                choices *= math.comb(size + t - 1, size)
+            assert len(listed) == choices, (sizes, t)
+            sorted_inside = {
+                w
+                for w in weak_orderings(n, t)
+                if all(
+                    list(w[a:b]) == sorted(w[a:b]) for a, b in zip(starts, starts[1:])
+                )
+            }
+            assert set(listed) == sorted_inside, (sizes, t)
 
 
 def test_h_matches_brute_force_worst_case_small():
@@ -418,8 +443,8 @@ def test_completion_coloring_bound():
             if g.m == 0:
                 continue
             chi = chromatic_number(g)
-            for wo in weak_orderings(n):
-                wg = WeightedGraph(g, wo.weights())
+            for weights in weak_orderings(n):
+                wg = WeightedGraph(g, weights)
                 c = completion_coloring(wg)
                 t = len(set(wg.weights))
                 assert is_valid_poc(wg, c)

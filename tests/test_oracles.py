@@ -5,7 +5,7 @@ import functools
 import itertools
 import math
 import random
-import sys
+from typing import Iterator
 
 import pytest
 
@@ -41,7 +41,6 @@ from pocgraph import (
 )
 import pocgraph.oracles as oracles_mod
 import pocgraph.poc_engine as poc_engine_mod
-from pocgraph.oracles import WeakOrdering
 from pocgraph.poc_engine import dag_longest_path
 
 from conftest import naive_chi_poc
@@ -232,8 +231,8 @@ def test_ell_prime_cap():
 def test_theorem3_agreement_exhaustive_n4():
     for n in range(1, 5):
         for g in enumerate_graphs(n):
-            for wo in weak_orderings(n):
-                wg = WeightedGraph(g, wo.weights())
+            for weights in weak_orderings(n):
+                wg = WeightedGraph(g, weights)
                 assert chi_poc_exact(wg)[0] == ell_prime_exact(wg)
 
 
@@ -383,8 +382,37 @@ def test_ell_prime_witness_matches_reference_search():
 # ---------------------------------------------------------------------------
 
 
+def _reference_ordered_partitions(
+    items: tuple[int, ...], max_blocks: int | None
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Ordered partitions in the sweeps' order, block by block: the first
+    block by size, then in ``itertools.combinations`` order, the rest
+    recursively."""
+    if not items:
+        yield ()
+        return
+    if max_blocks is not None and max_blocks <= 0:
+        return
+    rest_max = None if max_blocks is None else max_blocks - 1
+    for size in range(1, len(items) + 1):
+        for block in itertools.combinations(items, size):
+            rest = tuple(x for x in items if x not in block)
+            for others in _reference_ordered_partitions(rest, rest_max):
+                yield (block,) + others
+
+
+def _block_weights(blocks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    weights = [0] * sum(len(b) for b in blocks)
+    for rank, block in enumerate(blocks, start=1):
+        for v in block:
+            weights[v - 1] = rank
+    return tuple(weights)
+
+
 def test_weak_ordering_counts():
-    assert [sum(1 for _ in weak_orderings(n)) for n in range(6)] == [1, 1, 3, 13, 75, 541]
+    # the Fubini numbers, OEIS A000670
+    fubini = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835]
+    assert [sum(1 for _ in weak_orderings(n)) for n in range(9)] == fubini
 
 
 def test_weak_ordering_block_cap():
@@ -394,17 +422,36 @@ def test_weak_ordering_block_cap():
 
 def test_weak_orderings_are_distinct_and_cover():
     seen = set()
-    for wo in weak_orderings(4):
-        assert wo.weights() not in seen
-        seen.add(wo.weights())
-        assert sorted(v for blk in wo.blocks for v in blk) == [1, 2, 3, 4]
+    for weights in weak_orderings(4):
+        assert weights not in seen
+        seen.add(weights)
+        assert len(weights) == 4 and set(weights) == set(range(1, max(weights) + 1))
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        next(weak_orderings(-1))
 
 
-def test_weak_ordering_validation():
-    with pytest.raises(ValueError, match="partition"):
-        WeakOrdering(((1, 2), (2,)))
-    with pytest.raises(ValueError, match="empty"):
-        WeakOrdering(((1,), ()))
+def test_weak_orderings_are_the_surjections():
+    # independent source: every map {1..n} -> {1..top} onto some {1..k}
+    for n in range(7):
+        for max_blocks in (None, *range(n + 2)):
+            top = n if max_blocks is None else min(max_blocks, n)
+            expected = {
+                w
+                for w in itertools.product(range(1, top + 1), repeat=n)
+                if set(w) == set(range(1, max(w, default=0) + 1))
+            }
+            listed = list(weak_orderings(n, max_blocks))
+            assert len(listed) == len(expected) and set(listed) == expected, (n, max_blocks)
+
+
+def test_weak_orderings_keep_the_reference_order():
+    for n in range(8):
+        for max_blocks in (None, *range(n + 1)):
+            expected = [
+                _block_weights(blocks)
+                for blocks in _reference_ordered_partitions(tuple(range(1, n + 1)), max_blocks)
+            ]
+            assert list(weak_orderings(n, max_blocks)) == expected, (n, max_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +471,7 @@ def test_f_star_by_naive_maximum():
     # independent route: max of the naive chi_poc over all 75 weak orderings
     star = complete_multipartite_graph((1, 3))
     best = max(
-        naive_chi_poc(WeightedGraph(star, wo.weights())) for wo in weak_orderings(4)
+        naive_chi_poc(WeightedGraph(star, weights)) for weights in weak_orderings(4)
     )
     assert best == 3 == f_exact(star)
 
@@ -559,10 +606,9 @@ def _reference_sweep(
     """f_argmax (t=None) or chi_poc_t_argmax: a fresh search per weak ordering."""
     orderings = weak_orderings(g.n, None if t is None else min(t, g.n))
     best, best_weights = 0, ()
-    for wo in orderings:
-        if surjective_only and len(wo.blocks) != t:
+    for weights in orderings:
+        if surjective_only and max(weights) != t:
             continue
-        weights = wo.weights()
         value, _ = _reference_chi_poc(WeightedGraph(g, weights))
         if value > best:
             best, best_weights = value, weights
@@ -617,26 +663,28 @@ def test_reversed_weighting_has_the_same_chi_poc():
     for n in range(1, 5):
         for g in enumerate_graphs(n):
             naive = {
-                wo.weights(): naive_chi_poc(WeightedGraph(g, wo.weights()))
-                for wo in weak_orderings(n)
+                w: naive_chi_poc(WeightedGraph(g, w)) for w in weak_orderings(n)
             }
             assert all(value == naive[_reversed(w)] for w, value in naive.items()), g
     for g in enumerate_graphs(5):
         exact = {
-            wo.weights(): chi_poc_exact(WeightedGraph(g, wo.weights()))[0]
-            for wo in weak_orderings(5)
+            w: chi_poc_exact(WeightedGraph(g, w))[0] for w in weak_orderings(5)
         }
         assert all(value == exact[_reversed(w)] for w, value in exact.items()), g
 
 
 def test_sweep_keeps_the_first_of_each_reversed_pair():
+    # the rule the table applies: w comes no later than its reversal exactly
+    # when (|B_k|, B_k) >= (|B_1|, B_1), B_r being the sorted block of rank r
     for n in range(1, 6):
         for max_blocks in (None, 1, 2, 3):
-            order = list(oracles_mod._ordered_partitions(tuple(range(1, n + 1)), max_blocks))
-            position = {p: i for i, p in enumerate(order)}
-            kept = list(oracles_mod._unreversed_partitions(n, max_blocks))
-            assert kept == [p for p in order if position[p] <= position[p[::-1]]]
-            assert len(kept) == 1 + (len(order) - 1) // 2
+            order = list(weak_orderings(n, max_blocks))
+            position = {w: i for i, w in enumerate(order)}
+            for w in order:
+                first = tuple(v for v in range(1, n + 1) if w[v - 1] == 1)
+                last = tuple(v for v in range(1, n + 1) if w[v - 1] == max(w))
+                earlier = position[w] <= position[_reversed(w)]
+                assert earlier == ((len(last), last) >= (len(first), first)), w
 
 
 def _table_rows(n: int, max_blocks: int | None) -> list[tuple[tuple[int, ...], int]]:
@@ -667,11 +715,13 @@ def _strictly_lighter(weights: tuple[int, ...]) -> int:
 def test_sweep_table_is_the_unreversed_weak_orderings():
     keys = [(n, b) for n in range(1, 7) for b in (None, 1, 2, 3)] + [(7, 3), (8, 3)]
     for n, max_blocks in keys:
-        order = [wo.weights() for wo in weak_orderings(n, max_blocks)]
+        order = list(weak_orderings(n, max_blocks))
         position = {w: i for i, w in enumerate(order)}
         expected = [w for w in order if position[w] <= position[_reversed(w)]]
         rows = _table_rows(n, max_blocks)
         assert [weights for weights, _ in rows] == expected, (n, max_blocks)
+        # one of each reversed pair, and the one-block weighting
+        assert len(rows) == 1 + (len(order) - 1) // 2, (n, max_blocks)
         for weights, code in rows:
             assert code == _strictly_lighter(weights), (n, max_blocks, weights)
     # an argmax is a tuple of ints, not bytes or a slice of the table
@@ -686,27 +736,36 @@ def test_sweep_table_is_the_unreversed_weak_orderings():
 
 
 def test_sweep_table_is_built_once_per_key(monkeypatch):
-    real = oracles_mod._ordered_partitions
+    real = oracles_mod.weak_orderings
     generations: dict[tuple[int, int | None], int] = {}
 
-    def counting(items, max_blocks):
-        # the generator recurses through the module name: count only the
-        # calls that do not come from its own body
-        if sys._getframe(1).f_code is not real.__code__:
-            key = (len(items), max_blocks)
-            generations[key] = generations.get(key, 0) + 1
-        return real(items, max_blocks)
+    def counting(n, max_blocks=None):
+        generations[n, max_blocks] = generations.get((n, max_blocks), 0) + 1
+        return real(n, max_blocks)
 
     oracles_mod._sweep_weightings.cache_clear()
-    monkeypatch.setattr(oracles_mod, "_ordered_partitions", counting)
+    monkeypatch.setattr(oracles_mod, "weak_orderings", counting)
     for n in range(1, 6):
         for g in enumerate_graphs(n):
             f_argmax(g)
             for t in (1, 2, 3):
                 chi_poc_t_argmax(g, t)
-    keys = {(n, b) for n in range(1, 6) for b in (None, 1, min(2, n), min(3, n))}
+    # t >= n allows every weak ordering, so it reads f's table
+    keys = {
+        (n, None if b is None or b >= n else b) for n in range(1, 6) for b in (None, 1, 2, 3)
+    }
     assert set(generations) == keys
     assert max(generations.values()) == 1, generations
+
+
+def test_t_at_least_n_reads_fs_table():
+    g = complete_multipartite_graph((1, 4))
+    oracles_mod._sweep_weightings.cache_clear()
+    f_argmax(g)
+    chi_poc_t_argmax(g, g.n)
+    chi_poc_t_argmax(g, g.n, surjective_only=True)
+    chi_poc_t_argmax(g, g.n + 3)
+    assert oracles_mod._sweep_weightings.cache_info().currsize == 1
 
 
 def test_sweep_caps_refuse_before_building_a_table():

@@ -105,8 +105,8 @@ def test_greedy_exhaustive_small_instances():
     for n in range(1, 5):
         for g in enumerate_graphs(n):
             bound = longest_path_exact(g)
-            for wo in weak_orderings(n):
-                wg = WeightedGraph(g, wo.weights())
+            for weights in weak_orderings(n):
+                wg = WeightedGraph(g, weights)
                 c = greedy_poc(wg)
                 assert is_valid_poc(wg, c)
                 assert c.palette <= bound
@@ -302,8 +302,8 @@ def test_oriented_greedy_all_good_orientations_small():
     for n in range(1, 4):
         for g in enumerate_graphs(n):
             edges = g.sorted_edges()
-            for wo in weak_orderings(n):
-                wg = WeightedGraph(g, wo.weights())
+            for weights in weak_orderings(n):
+                wg = WeightedGraph(g, weights)
                 for bits in range(1 << len(edges)):
                     arcs = frozenset(
                         (u, v) if not bits >> i & 1 else (v, u)
