@@ -158,21 +158,17 @@ def cmd_oracle(args: argparse.Namespace, caps: OracleCaps) -> int:
         print(f"ellprime {value}")
         if args.witness:
             sys.stdout.write(serialize_orientation(witness_d))
-    elif quantity == "f":
-        value, weights = oracles.f_argmax(g.graph, caps)
-        print(f"f {value}")
-        if args.witness:
-            print(f"weights {','.join(map(str, weights))}")
-            _, coloring = oracles.chi_poc_exact(WeightedGraph(g.graph, weights), caps)
-            sys.stdout.write(serialize_coloring(coloring))
-    else:  # chipoct
-        if args.t is None:
+    else:  # f or chipoct
+        if quantity == "f":
+            value, weights = oracles.f_argmax(g.graph, caps)
+        elif args.t is None:
             _say("oracle chipoct requires --t")
             return 2
-        value, weights = oracles.chi_poc_t_argmax(
-            g.graph, args.t, caps, surjective_only=args.surjective
-        )
-        print(f"chipoct {value}")
+        else:
+            value, weights = oracles.chi_poc_t_argmax(
+                g.graph, args.t, caps, surjective_only=args.surjective
+            )
+        print(f"{quantity} {value}")
         if args.witness:
             print(f"weights {','.join(map(str, weights))}")
             _, coloring = oracles.chi_poc_exact(WeightedGraph(g.graph, weights), caps)
@@ -180,9 +176,7 @@ def cmd_oracle(args: argparse.Namespace, caps: OracleCaps) -> int:
     return 0
 
 
-def _emit_multipartite(
-    inst: mp.MultipartiteInstance, caps: OracleCaps
-) -> None:
+def _emit_multipartite(inst: mp.MultipartiteInstance) -> None:
     mocs = mp.find_mocs(inst)
     s = mp.find_max_spaths(inst, mocs)
     coloring = mp.mocs_coloring(inst, mocs, s)
@@ -193,7 +187,7 @@ def _emit_multipartite(
     print(f"spaths_q {s.q}")
     for i, path in enumerate(s.paths, start=1):
         print(f"spath {i} {'-'.join(map(str, path))}")
-    print(f"g {mp.g_value(inst, caps)}")
+    print(f"g {mocs.total_size - s.vertex_count + s.q}")
     sys.stdout.write(serialize_coloring(coloring))
 
 
@@ -205,12 +199,12 @@ def cmd_multipartite(args: argparse.Namespace, caps: OracleCaps) -> int:
     if args.weights is not None:
         weights = _int_list(args.weights, "--weights")
         inst = mp.MultipartiteInstance(sizes, weights).normalized()
-        _emit_multipartite(inst, caps)
+        _emit_multipartite(inst)
     else:
         h, weights = mp.h_argmax(sizes, args.t, caps)
         print(f"h {h}")
         print(f"weights {','.join(map(str, weights))}")
-        _emit_multipartite(mp.MultipartiteInstance(sizes, weights), caps)
+        _emit_multipartite(mp.MultipartiteInstance(sizes, weights))
     return 0
 
 

@@ -11,9 +11,11 @@ coloring built this way uses exactly
     sum |H_i|  -  |V(S)|  +  q(S)
 
 colors, where S is the chosen path family and q(S) its component count.
-Maximizing this quantity over MOCs gives g(...; w); maximizing g over all
-weightings with values in 1..t gives h(..., t), which equals the worst-case
-POC palette of the graph over such weightings.
+Every MOCs fills the same (weight value, part) slots, and the best path
+family depends only on those slots and the clique sizes, so this quantity is
+the same for every MOCs: it is g(...; w), read off the canonical MOCs.
+Maximizing g over all weightings with values in 1..t gives h(..., t), which
+equals the worst-case POC palette of the graph over such weightings.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
-from typing import Iterator
+from math import comb, prod
+from typing import Iterator, Sequence
 
 from .graph_core import (
     Coloring,
@@ -166,43 +168,43 @@ def validate_mocs(inst: MultipartiteInstance, mocs: MocsDecomposition) -> None:
             parts_seen.add(p)
 
 
+def _slots(inst: MultipartiteInstance) -> list[tuple[int, list[int]]]:
+    """(weight value, candidate vertices) for each part holding that value."""
+    _require_normalized(inst)
+    return [
+        (value, hits)
+        for value in range(1, inst.t + 1)
+        for members in inst.parts
+        if (hits := [v for v in members if inst.weight(v) == value])
+    ]
+
+
+def _mocs(
+    t: int, slots: list[tuple[int, list[int]]], combo: Sequence[int]
+) -> MocsDecomposition:
+    """The family that takes combo[i] for slots[i]."""
+    cliques = [tuple(v for (w, _), v in zip(slots, combo) if w == i) for i in range(1, t + 1)]
+    return MocsDecomposition(tuple(cliques))
+
+
 def find_mocs(inst: MultipartiteInstance) -> MocsDecomposition:
     """The canonical maximum ordered cliques: for each weight value, one vertex
     from every part containing that value, lowest id first."""
-    _require_normalized(inst)
-    cliques = []
-    for value in range(1, inst.t + 1):
-        chosen = []
-        for members in inst.parts:
-            hits = [v for v in members if inst.weight(v) == value]
-            if hits:
-                chosen.append(min(hits))
-        cliques.append(tuple(sorted(chosen)))
-    return MocsDecomposition(tuple(cliques))
+    slots = _slots(inst)
+    return _mocs(inst.t, slots, [hits[0] for _, hits in slots])
 
 
 def enumerate_mocs(
     inst: MultipartiteInstance, caps: OracleCaps = DEFAULT_CAPS
 ) -> list[MocsDecomposition]:
-    """All maximum ordered-clique families, in deterministic order."""
-    _require_normalized(inst)
-    slots: list[tuple[int, list[int]]] = []  # (weight value, candidate vertices)
-    size = 1
-    for value in range(1, inst.t + 1):
-        for members in inst.parts:
-            hits = [v for v in members if inst.weight(v) == value]
-            if hits:
-                slots.append((value, hits))
-                size *= len(hits)
+    """All maximum ordered-clique families, in deterministic order; the first
+    is ``find_mocs(inst)``."""
+    slots = _slots(inst)
+    size = prod(len(hits) for _, hits in slots)
     if size > caps.mocs_product:
         raise CapExceeded("mocs_product", caps.mocs_product, size)
-    out = []
-    for combo in itertools.product(*(hits for _, hits in slots)):
-        cliques: list[list[int]] = [[] for _ in range(inst.t)]
-        for (value, _), v in zip(slots, combo):
-            cliques[value - 1].append(v)
-        out.append(MocsDecomposition(tuple(tuple(sorted(c)) for c in cliques)))
-    return out
+    choices = itertools.product(*(hits for _, hits in slots))
+    return [_mocs(inst.t, slots, combo) for combo in choices]
 
 
 def validate_spaths(
@@ -401,16 +403,14 @@ def mocs_coloring(
     return result
 
 
-def g_value(inst: MultipartiteInstance, caps: OracleCaps = DEFAULT_CAPS) -> int:
-    """max over all MOCs of (total clique size - |V(S)| + q(S))."""
-    best = None
-    for mocs in enumerate_mocs(inst, caps):
-        s = find_max_spaths(inst, mocs)
-        value = mocs.total_size - s.vertex_count + s.q
-        if best is None or value > best:
-            best = value
-    assert best is not None
-    return best
+def g_value(inst: MultipartiteInstance) -> int:
+    """total clique size - |V(S)| + q(S) for the canonical MOCs and its best
+    path family S. Every MOCs gives the same value: the path search reads
+    only which (weight value, part) slots are filled and the clique sizes,
+    and those are the same for every MOCs."""
+    mocs = find_mocs(inst)
+    s = find_max_spaths(inst, mocs)
+    return mocs.total_size - s.vertex_count + s.q
 
 
 def part_weightings(part_sizes: tuple[int, ...], t: int) -> Iterator[tuple[int, ...]]:
@@ -450,7 +450,7 @@ def h_argmax(
         if weights in seen:
             continue
         seen.add(weights)
-        value = g_value(MultipartiteInstance(part_sizes, weights), caps)
+        value = g_value(MultipartiteInstance(part_sizes, weights))
         if value > best:
             best, best_weights = value, weights
     return best, best_weights

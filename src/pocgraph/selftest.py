@@ -123,7 +123,7 @@ def check_k135_fixture(ctx: _Context) -> tuple[bool, str, str]:
     mocs = mp.find_mocs(inst)
     s = mp.find_max_spaths(inst, mocs)
     coloring = mp.mocs_coloring(inst, mocs, s)
-    gv = mp.g_value(inst, ctx.caps)
+    gv = mp.g_value(inst)
     observed = (
         f"total={mocs.total_size} V(S)={s.vertex_count} q={s.q} g={gv} "
         f"palette={coloring.palette} c(z5)={coloring.color(9)}"
@@ -292,13 +292,15 @@ def check_proposition2(ctx: _Context) -> tuple[bool, str, str]:
 def check_proposition1_exhaustive(ctx: _Context) -> tuple[bool, str, str]:
     """Every MOCs coloring on the small multipartite family is a valid POC and
     uses exactly total - |V(S)| + q colors (the count is asserted inside the
-    construction; here every weighting and every MOCs choice is driven)."""
+    construction; here every weighting and every MOCs choice is driven), and
+    that count is g, which reads the canonical MOCs alone."""
     count = 0
     for sizes in _prop2_family():
         if not ctx.full and sum(sizes) > 7:
             continue
         for weights in mp.part_weightings(sizes, 3):
             inst = mp.MultipartiteInstance(sizes, weights)
+            gv = mp.g_value(inst)
             for mocs in mp.enumerate_mocs(inst, ctx.caps):
                 s = mp.find_max_spaths(inst, mocs)
                 try:
@@ -306,6 +308,9 @@ def check_proposition1_exhaustive(ctx: _Context) -> tuple[bool, str, str]:
                 except AssertionError as exc:
                     wg = inst.weighted_graph()
                     return False, f"{exc} on {_tag(wg)}", "valid POC with exact count"
+                if mocs.total_size - s.vertex_count + s.q != gv:
+                    tag = f"MOCs {mocs.cliques} of {_tag(inst.weighted_graph())}"
+                    return False, f"{tag} misses g={gv}", "every MOCs gives g"
                 count += 1
     return True, f"{count} MOCs colorings valid with exact color count", "Proposition 1"
 

@@ -215,6 +215,19 @@ def test_multipartite_k135(capsys):
     assert "palette 5" in out
 
 
+def test_multipartite_many_mocs_needs_no_enumeration(capsys):
+    # 5**9 MOCs: more than the mocs_product cap, which g never consults
+    part = "1,1,1,1,1,2,2,2,2,2,3,3,3,3,3"
+    rc, out, _ = run(
+        capsys, "multipartite", "--parts", "15,15,15", "--weights", ",".join([part] * 3)
+    )
+    assert rc == 0
+    lines = out.splitlines()
+    assert "g 7" in lines
+    assert "spaths_vertices 4" in lines
+    assert "spaths_q 2" in lines
+
+
 def test_multipartite_h_mode(capsys):
     rc, out, _ = run(capsys, "multipartite", "--parts", "2,2", "--t", "2")
     assert rc == 0

@@ -155,6 +155,7 @@ def test_enumerate_mocs_k135(k135_inst):
     all_mocs = enumerate_mocs(k135_inst)
     assert len(all_mocs) == 2  # weight-2 clique is {6} or {9}
     assert {m.cliques[1] for m in all_mocs} == {(6,), (9,)}
+    assert all_mocs[0] == find_mocs(k135_inst)
 
 
 def test_enumerate_mocs_forced_cases():
@@ -273,6 +274,7 @@ def test_mocs_coloring_exact_count_over_family():
                 s = find_max_spaths(inst, mocs)
                 c = mocs_coloring(inst, mocs, s)
                 assert c.palette == mocs.total_size - s.vertex_count + s.q
+                assert c.palette == g_value(inst)
                 assert is_valid_poc(inst.weighted_graph(), c)
 
 

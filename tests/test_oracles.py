@@ -39,9 +39,11 @@ from pocgraph import (
     random_weighted_graph,
     weak_orderings,
 )
+import pocgraph.multipartite as multipartite_mod
 import pocgraph.oracles as oracles_mod
 import pocgraph.poc_engine as poc_engine_mod
 from pocgraph.poc_engine import dag_longest_path
+from pocgraph.selftest import _prop2_family
 
 from conftest import naive_chi_poc
 
@@ -980,28 +982,37 @@ def test_f_equals_n_iff_hamiltonian_n5():
 # ---------------------------------------------------------------------------
 
 
-def _package_imports(module) -> set[str]:
-    """Names of the pocgraph modules that a module's source imports."""
+def _package_imports(module) -> dict[str, set[str]]:
+    """The pocgraph modules that a module's source imports, each with the
+    names it takes from them ("*" for the module itself)."""
     with open(module.__file__) as source:
         tree = ast.parse(source.read())
-    found: set[str] = set()
+    found: dict[str, set[str]] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            found |= {
-                a.name.removeprefix("pocgraph.") for a in node.names
-                if a.name.split(".")[0] == "pocgraph"
-            }
+            for a in node.names:
+                if a.name.split(".")[0] == "pocgraph":
+                    found.setdefault(a.name.removeprefix("pocgraph."), set()).add("*")
         elif isinstance(node, ast.ImportFrom):
             if node.level == 0 and (node.module or "").split(".")[0] != "pocgraph":
                 continue
             module_name = (node.module or "").removeprefix("pocgraph").lstrip(".")
-            found |= {module_name} if module_name else {a.name for a in node.names}
+            for a in node.names:
+                if module_name:
+                    found.setdefault(module_name, set()).add(a.name)
+                else:
+                    found.setdefault(a.name, set()).add("*")
     return found
 
 
 def test_oracles_import_nothing_but_graph_core():
-    assert _package_imports(oracles_mod) == {"graph_core"}
-    assert _package_imports(poc_engine_mod) == {"graph_core", "oracles"}
+    assert set(_package_imports(oracles_mod)) == {"graph_core"}
+    assert set(_package_imports(poc_engine_mod)) == {"graph_core", "oracles"}
+    # h is checked against chi_poc(G;t): the MOCs side may share the caps and
+    # the proper-coloring oracle, never a POC search
+    assert _package_imports(multipartite_mod)["oracles"] <= {
+        "DEFAULT_CAPS", "CapExceeded", "OracleCaps", "proper_coloring_exact"
+    }
 
 
 def test_sweeps_never_consult_longest_paths(monkeypatch):
@@ -1018,3 +1029,18 @@ def test_sweeps_never_consult_longest_paths(monkeypatch):
             assert 1 <= oracles_mod.f_argmax(g)[0] <= n
             for t in (1, 2, 3):
                 assert 1 <= oracles_mod.chi_poc_t_argmax(g, t)[0] <= n
+
+
+def test_g_and_h_never_enumerate_mocs(monkeypatch):
+    """g reads the canonical MOCs alone, so h, which Proposition 2 compares
+    with chi_poc(G;t), never lists every MOCs."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("g or h enumerated every MOCs")
+
+    monkeypatch.setattr(multipartite_mod, "enumerate_mocs", forbidden)
+    for sizes in _prop2_family():
+        for t in (1, 2, 3):
+            value, weights = multipartite_mod.h_argmax(sizes, t)
+            inst = multipartite_mod.MultipartiteInstance(sizes, weights)
+            assert multipartite_mod.g_value(inst) == value
