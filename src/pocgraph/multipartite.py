@@ -416,40 +416,36 @@ def g_value(inst: MultipartiteInstance) -> int:
 def part_weightings(part_sizes: tuple[int, ...], t: int) -> Iterator[tuple[int, ...]]:
     """The weightings with values in 1..t, one sorted weight multiset per part
     (vertices inside a part are interchangeable), in ``itertools.product``
-    order over the parts, each rank-normalized. Different choices can
-    normalize to the same weights; nothing is deduplicated."""
+    order over the parts, each rank-normalized and yielded only where it
+    first occurs."""
+    seen: set[tuple[int, ...]] = set()
     for assignment in itertools.product(
         *(itertools.combinations_with_replacement(range(1, t + 1), size) for size in part_sizes)
     ):
         raw = tuple(w for group in assignment for w in group)
         rank = {w: i for i, w in enumerate(sorted(set(raw)), start=1)}
-        yield tuple(rank[w] for w in raw)
+        weights = tuple(rank[w] for w in raw)
+        if weights not in seen:
+            seen.add(weights)
+            yield weights
 
 
 def h_argmax(
     part_sizes: tuple[int, ...], t: int, caps: OracleCaps = DEFAULT_CAPS
 ) -> tuple[int, tuple[int, ...]]:
-    """max of g over all weightings with values in 1..t, plus a weighting
-    attaining it.
-
-    Weightings come from ``part_weightings``, deduplicated.
-    """
+    """max of g over all weightings with values in 1..t, plus the first
+    weighting in ``part_weightings`` order attaining it. The ``weightings``
+    cap counts the choices of one weight multiset per part."""
     if len(part_sizes) < 2:
         raise ValueError("need at least 2 parts")
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    combos = 1
-    for size in part_sizes:
-        combos *= comb(size + t - 1, t - 1)
-    if combos > caps.h_weightings:
-        raise CapExceeded("h_weightings", caps.h_weightings, combos)
-    seen: set[tuple[int, ...]] = set()
+    combos = prod(comb(size + t - 1, t - 1) for size in part_sizes)
+    if combos > caps.weightings:
+        raise CapExceeded("weightings", caps.weightings, combos)
     best = 0
     best_weights: tuple[int, ...] = ()
     for weights in part_weightings(part_sizes, t):
-        if weights in seen:
-            continue
-        seen.add(weights)
         value = g_value(MultipartiteInstance(part_sizes, weights))
         if value > best:
             best, best_weights = value, weights
@@ -547,7 +543,7 @@ def complete_to_multipartite(g: Graph) -> tuple[tuple[int, ...], dict[int, int]]
     return tuple(len(group) for group in classes), vertex_map
 
 
-def completion_coloring(g: WeightedGraph, caps: OracleCaps = DEFAULT_CAPS) -> Coloring:
+def completion_coloring(g: WeightedGraph) -> Coloring:
     """POC of g obtained by completing to a multipartite graph, running the
     MOCs construction there, and pulling colors back. Palette is at most
     (chi(G) - 1) * t + 1 where t is the number of distinct weight values."""

@@ -43,16 +43,14 @@ from .graph_core import Coloring, Graph, Orientation, WeightedGraph, normalize_w
 
 @dataclass(frozen=True)
 class OracleCaps:
-    """Search-size limits. Values are instance counts / vertex counts, not timeouts."""
+    """Search-size limits: vertex, edge or weighting counts, not timeouts."""
 
     longest_path_n: int = 20
     chi_poc_n: int = 12
     ell_prime_intra_edges: int = 24
-    f_n: int = 8
-    chi_poc_t_n: int = 8
     enum_pocs_n: int = 10
     mocs_product: int = 1_000_000
-    h_weightings: int = 1_000_000
+    weightings: int = 1_000_000
 
 
 DEFAULT_CAPS = OracleCaps()
@@ -98,9 +96,10 @@ def weak_orderings(n: int, max_blocks: int | None = None) -> Iterator[tuple[int,
 
     The first block is any nonempty subset, taken by size and then in
     ``itertools.combinations`` order, and the rest follows recursively. Each
-    remainder's (block, rest) splits are listed once per call. The last
-    allowed block takes every remaining vertex, so a block cap walks no dead
-    branch.
+    remainder's (block, rest) splits are listed once per call, and kept only
+    from rank 3 on: a rank-2 remainder is the complement of one first block,
+    so it never recurs. The last allowed block takes every remaining vertex,
+    so a block cap walks no dead branch.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -121,11 +120,13 @@ def weak_orderings(n: int, max_blocks: int | None = None) -> Iterator[tuple[int,
             return
         pairs = splits.get(items)
         if pairs is None:
-            pairs = splits[items] = [
+            pairs = [
                 (block, tuple(x for x in items if x not in block))
                 for size in range(1, len(items) + 1)
                 for block in itertools.combinations(items, size)
             ]
+            if rank >= 3:
+                splits[items] = pairs
         for block, rest in pairs:
             for v in block:
                 w[v] = rank
@@ -656,15 +657,38 @@ def _sweep_weightings(n: int, max_blocks: int | None) -> tuple[bytes, bytes]:
     return bytes(ranks), bytes(codes)
 
 
+@lru_cache(maxsize=None)
+def _weighting_count(n: int, max_blocks: int | None) -> int:
+    """How many weightings ``weak_orderings(n, max_blocks)`` yields (n >= 1):
+    the surjections onto k ranks, by inclusion-exclusion, summed over k."""
+    last = n if max_blocks is None else min(max_blocks, n)
+    return sum(
+        (-1) ** j * math.comb(k, j) * (k - j) ** n
+        for k in range(1, last + 1)
+        for j in range(k + 1)
+    )
+
+
 def _worst_weighting(
-    g: Graph, caps: OracleCaps, max_blocks: int | None = None, blocks: int | None = None
+    g: Graph, caps: OracleCaps, t: int | None = None, surjective_only: bool = False
 ) -> tuple[int, tuple[int, ...]]:
     """The largest chi_POC over the weak orderings of g's vertices with at most
-    ``max_blocks`` blocks (exactly ``blocks`` if given), and the first
-    weighting in ``weak_orderings`` order that attains it."""
-    if g.n > caps.chi_poc_n:
-        raise CapExceeded("chi_poc_n", caps.chi_poc_n, g.n)
+    t blocks (exactly t if ``surjective_only``; any number if t is None), and
+    the first weighting in ``weak_orderings`` order that attains it. The
+    ``weightings`` cap counts the weak orderings with at most t blocks."""
     n = g.n
+    if n < 1:
+        raise ValueError("graph must have at least one vertex")
+    if surjective_only and t > n:
+        raise ValueError(f"no surjective weighting with {t} values on {n} vertices")
+    if n > caps.chi_poc_n:
+        raise CapExceeded("chi_poc_n", caps.chi_poc_n, n)
+    # t >= n allows every weak ordering: the same table as f's
+    max_blocks = None if t is None or t >= n else t
+    count = _weighting_count(n, max_blocks)
+    if count > caps.weightings:
+        raise CapExceeded("weightings", caps.weightings, count)
+    blocks = t if surjective_only else None
     solve = _poc_search(g)
     ranks, codes = _sweep_weightings(n, max_blocks)
     stride = n + 1
@@ -719,10 +743,6 @@ def f_argmax(g: Graph, caps: OracleCaps = DEFAULT_CAPS) -> tuple[int, tuple[int,
 
     The ``best == n`` ceiling still ends the sweep early.
     """
-    if g.n > caps.f_n:
-        raise CapExceeded("f_n", caps.f_n, g.n)
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
     return _worst_weighting(g, caps)
 
 
@@ -746,15 +766,7 @@ def chi_poc_t_argmax(
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    if g.n > caps.chi_poc_t_n:
-        raise CapExceeded("chi_poc_t_n", caps.chi_poc_t_n, g.n)
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    if surjective_only and t > g.n:
-        raise ValueError(f"no surjective weighting with {t} values on {g.n} vertices")
-    # t >= n allows every weak ordering: the same table as f's
-    max_blocks = None if t >= g.n else t
-    return _worst_weighting(g, caps, max_blocks, t if surjective_only else None)
+    return _worst_weighting(g, caps, t, surjective_only)
 
 
 def chi_poc_t(

@@ -269,7 +269,6 @@ def _prop2_family() -> list[tuple[int, ...]]:
 def check_proposition2(ctx: _Context) -> tuple[bool, str, str]:
     """h (MOCs construction, maximized over weightings) equals the brute-force
     worst case chi_poc_t on the whole small multipartite family."""
-    caps = dataclasses.replace(ctx.caps, chi_poc_t_n=max(ctx.caps.chi_poc_t_n, 9))
     tmax = 3
     count = 0
     for sizes in _prop2_family():
@@ -277,8 +276,8 @@ def check_proposition2(ctx: _Context) -> tuple[bool, str, str]:
             continue
         graph = complete_multipartite_graph(sizes)
         for t in range(1, tmax + 1):
-            h = mp.h_value(sizes, t, caps)
-            brute = oracles.chi_poc_t(graph, t, caps)
+            h = mp.h_value(sizes, t, ctx.caps)
+            brute = oracles.chi_poc_t(graph, t, ctx.caps)
             if h != brute:
                 return (
                     False,
@@ -377,7 +376,7 @@ def check_theorem2_constructive(ctx: _Context) -> tuple[bool, str, str]:
             chi = oracles.chromatic_number(g)
             for weights in weightings:
                 wg = WeightedGraph(g, weights)
-                coloring = mp.completion_coloring(wg, ctx.caps)
+                coloring = mp.completion_coloring(wg)
                 t = len(set(wg.weights))
                 if not poc_engine.is_valid_poc(wg, coloring):
                     return False, f"invalid completion coloring on {_tag(wg)}", "valid POC"

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from pocgraph import cli, oracles, parse_coloring, parse_wpoc, selftest
@@ -187,12 +191,28 @@ def test_unknown_cap_exits_2(capsys, monkeypatch, c4w_file):
     assert rc == 2 and "unknown cap" in err
 
 
+def test_removed_sweep_cap_exits_2(capsys, monkeypatch, c4w_file):
+    # the per-sweep vertex caps are gone: the weightings cap bounds every sweep
+    monkeypatch.setenv("POC_CAPS", "f_n=9")
+    rc, out, err = run(capsys, "oracle", c4w_file, "f")
+    assert rc == 2 and out == ""
+    assert "unknown cap override 'f_n=9'" in err and "weightings" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "-3", "", "2.5"])
 def test_bad_cap_value_exits_2_naming_the_cap(capsys, monkeypatch, c4w_file, value):
-    monkeypatch.setenv("POC_CAPS", f"chi_poc_n=12,f_n={value}")
+    monkeypatch.setenv("POC_CAPS", f"chi_poc_n=12,weightings={value}")
     rc, out, err = run(capsys, "oracle", c4w_file, "chipoc")
     assert rc == 2 and out == ""
-    assert f"'f_n={value}'" in err and "non-negative integer" in err
+    assert f"'weightings={value}'" in err and "non-negative integer" in err
+
+
+def test_readme_caps_table_lists_every_cap_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Oracle caps\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (\d+) \|", section, re.MULTILINE)
+    fields = dataclasses.fields(oracles.OracleCaps)
+    assert rows == [(f.name, str(f.default)) for f in fields]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 import random
 
 import pytest
@@ -298,23 +297,31 @@ def test_h_value_examples(sizes, t, value):
 
 
 def test_h_value_cap():
-    with pytest.raises(CapExceeded, match="h_weightings"):
-        h_value((3, 3), 3, OracleCaps(h_weightings=5))
+    # 10 weight multisets per part of 3 vertices, 100 choices in all
+    with pytest.raises(
+        CapExceeded, match=r"^cap weightings=99 exceeded \(instance needs 100\)$"
+    ):
+        h_value((3, 3), 3, OracleCaps(weightings=99))
+    assert h_value((3, 3), 3, OracleCaps(weightings=100)) == h_value((3, 3), 3)
 
 
 def test_part_weightings_are_the_sorted_weak_orderings():
-    # every choice of one weight multiset per part, in product order; their
-    # normal forms are the weak orderings with at most t blocks that are
-    # sorted inside each part
+    # every choice of one weight multiset per part, in product order, each
+    # normal form once, where it first occurs; the normal forms are the weak
+    # orderings with at most t blocks that are sorted inside each part
     for sizes in [(1, 2), (2, 2), (1, 1, 2), (2, 3), (1, 2, 3)]:
         n = sum(sizes)
         starts = list(itertools.accumulate(sizes, initial=0))
         for t in (1, 2, 3, 4):
             listed = list(part_weightings(sizes, t))
-            choices = 1
-            for size in sizes:
-                choices *= math.comb(size + t - 1, size)
-            assert len(listed) == choices, (sizes, t)
+            first_seen = {}
+            for assignment in itertools.product(
+                *(itertools.combinations_with_replacement(range(1, t + 1), s) for s in sizes)
+            ):
+                raw = [w for group in assignment for w in group]
+                values = sorted(set(raw))
+                first_seen.setdefault(tuple(values.index(w) + 1 for w in raw), None)
+            assert listed == list(first_seen), (sizes, t)
             sorted_inside = {
                 w
                 for w in weak_orderings(n, t)
@@ -323,6 +330,13 @@ def test_part_weightings_are_the_sorted_weak_orderings():
                 )
             }
             assert set(listed) == sorted_inside, (sizes, t)
+
+
+def test_h_matches_the_sweep_on_k333_under_default_caps():
+    # at most 3 blocks on 9 vertices: 18 661 weak orderings, within the cap
+    graph = complete_multipartite_graph((3, 3, 3))
+    for t in (1, 2, 3):
+        assert chi_poc_t(graph, t) == h_value((3, 3, 3), t), t
 
 
 def test_h_matches_brute_force_worst_case_small():

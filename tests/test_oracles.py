@@ -417,6 +417,17 @@ def test_weak_ordering_counts():
     assert [sum(1 for _ in weak_orderings(n)) for n in range(9)] == fubini
 
 
+def test_weighting_count_is_the_weak_ordering_count():
+    # what the sweeps' ``weightings`` cap reads, without listing a weighting
+    for n in range(1, 8):
+        for max_blocks in (None, *range(n + 2)):
+            listed = sum(1 for _ in weak_orderings(n, max_blocks))
+            assert oracles_mod._weighting_count(n, max_blocks) == listed, (n, max_blocks)
+    assert oracles_mod._weighting_count(8, None) == 545835
+    assert oracles_mod._weighting_count(9, None) == 7087261
+    assert oracles_mod._weighting_count(9, 3) == 18661
+
+
 def test_weak_ordering_block_cap():
     assert sum(1 for _ in weak_orderings(4, max_blocks=1)) == 1
     assert sum(1 for _ in weak_orderings(4, max_blocks=2)) == 15  # 1 + 2*S(4,2)
@@ -479,7 +490,9 @@ def test_f_star_by_naive_maximum():
 
 
 def test_f_cap():
-    with pytest.raises(CapExceeded, match="f_n"):
+    with pytest.raises(
+        CapExceeded, match=r"^cap weightings=1000000 exceeded \(instance needs 7087261\)$"
+    ):
         f_exact(Graph(9, frozenset()))
 
 
@@ -527,10 +540,16 @@ def test_sweep_caps_and_errors():
         with pytest.raises(CapExceeded, match="chi_poc_n=4") as info:
             chi_poc_t_argmax(g, 2, small, surjective_only)
         assert info.value.cap == "chi_poc_n"
-    with pytest.raises(CapExceeded, match=r"^cap f_n=4 exceeded \(instance needs 5\)$"):
-        f_argmax(g, OracleCaps(f_n=4, chi_poc_n=4))
-    with pytest.raises(CapExceeded, match=r"^cap chi_poc_t_n=4 exceeded \(instance needs 5\)$"):
-        chi_poc_t_argmax(g, 2, OracleCaps(chi_poc_t_n=4, chi_poc_n=4))
+    # 541 weak orderings of 5 vertices, 31 with at most 2 blocks
+    with pytest.raises(CapExceeded, match=r"^cap weightings=540 exceeded \(instance needs 541\)$"):
+        f_argmax(g, OracleCaps(weightings=540))
+    for surjective_only in (False, True):
+        with pytest.raises(
+            CapExceeded, match=r"^cap weightings=30 exceeded \(instance needs 31\)$"
+        ):
+            chi_poc_t_argmax(g, 2, OracleCaps(weightings=30), surjective_only)
+    assert f_argmax(g, OracleCaps(weightings=541)) == f_argmax(g)
+    assert chi_poc_t_argmax(g, 2, OracleCaps(weightings=31)) == chi_poc_t_argmax(g, 2)
     with pytest.raises(ValueError, match=r"^t must be >= 1, got 0$"):
         chi_poc_t_argmax(g, 0)
     with pytest.raises(ValueError, match=r"^no surjective weighting with 6 values on 5 vertices$"):
@@ -647,12 +666,13 @@ def test_sweeps_match_reference_sweep():
 
 def test_multipartite_sweeps_match_reference_sweep():
     # K(3,3,3): a 9-vertex code is 81 bits, wider than a 64-bit word
-    caps = OracleCaps(chi_poc_t_n=9)
     for parts in ((2, 2, 3), (1, 3, 4), (3, 3, 3)):
         g = complete_multipartite_graph(parts)
         for t in (1, 2, 3):
-            assert chi_poc_t_argmax(g, t, caps) == _reference_sweep(g, t), (parts, t)
-            assert chi_poc_t_argmax(g, t, caps, True) == _reference_sweep(g, t, True), (parts, t)
+            assert chi_poc_t_argmax(g, t) == _reference_sweep(g, t), (parts, t)
+            assert chi_poc_t_argmax(g, t, surjective_only=True) == _reference_sweep(
+                g, t, True
+            ), (parts, t)
 
 
 def _reversed(weights: tuple[int, ...]) -> tuple[int, ...]:
@@ -775,11 +795,15 @@ def test_sweep_caps_refuse_before_building_a_table():
     g = path_graph(9)
     with pytest.raises(CapExceeded) as info:
         f_argmax(g)
-    assert info.value.cap == "f_n"
-    for surjective_only in (False, True):
-        with pytest.raises(CapExceeded) as info:
-            chi_poc_t_argmax(g, 3, surjective_only=surjective_only)
-        assert info.value.cap == "chi_poc_t_n"
+    assert (info.value.cap, info.value.actual) == ("weightings", 7087261)
+    # at most 5 blocks: 1 039 261 weak orderings; t >= n counts them all
+    for t, actual in ((5, 1039261), (9, 7087261), (12, 7087261)):
+        for surjective_only in (False, True):
+            if surjective_only and t > g.n:
+                continue
+            with pytest.raises(CapExceeded) as info:
+                chi_poc_t_argmax(g, t, surjective_only=surjective_only)
+            assert (info.value.cap, info.value.actual) == ("weightings", actual), t
     small = OracleCaps(chi_poc_n=4)
     with pytest.raises(CapExceeded) as info:
         f_argmax(path_graph(5), small)
@@ -948,7 +972,7 @@ def test_enumerate_graphs_matches_graph_atlas():
     def degrees(g) -> tuple[int, ...]:
         return tuple(sorted(d for _, d in g.degree()))
 
-    atlas = [a for a in nx.graph_atlas_g() if 1 <= a.number_of_nodes() <= 6]
+    atlas = [a for a in nx.graph_atlas_g() if 1 <= len(a) <= 6]
     for n in range(1, 7):
         buckets: dict[tuple[int, ...], list] = {}
         for g in enumerate_graphs(n):
@@ -956,7 +980,7 @@ def test_enumerate_graphs_matches_graph_atlas():
             rep.add_nodes_from(range(1, n + 1))
             rep.add_edges_from(g.edges)
             buckets.setdefault(degrees(rep), []).append(rep)
-        of_order = [a for a in atlas if a.number_of_nodes() == n]
+        of_order = [a for a in atlas if len(a) == n]
         assert len(of_order) == sum(len(b) for b in buckets.values())
         for a in of_order:
             matches = [r for r in buckets.get(degrees(a), []) if nx.is_isomorphic(a, r)]
