@@ -43,11 +43,11 @@ from .graph_core import Coloring, Graph, Orientation, WeightedGraph, normalize_w
 
 @dataclass(frozen=True)
 class OracleCaps:
-    """Search-size limits: vertex, edge or weighting counts, not timeouts."""
+    """Search-size limits: vertex, orientation or weighting counts, not timeouts."""
 
     longest_path_n: int = 20
     chi_poc_n: int = 12
-    ell_prime_intra_edges: int = 24
+    ell_prime_orientations: int = 100_000
     enum_pocs_n: int = 10
     mocs_product: int = 1_000_000
     weightings: int = 1_000_000
@@ -416,27 +416,42 @@ def _class_arcs(
     return tuple((v, u) if bits >> i & 1 else (u, v) for i, (u, v) in enumerate(intra))
 
 
-def _class_orientations(
-    members: list[int], intra: list[tuple[int, int]]
-) -> Iterator[_ClassOption]:
-    """Every acyclic orientation of one equal-weight class, in ascending order
-    of its flip bits.
+def _class_options(
+    members: list[int],
+    intra: list[tuple[int, int]],
+    before: int = 1,
+    caps: OracleCaps = DEFAULT_CAPS,
+) -> list[_ClassOption]:
+    """Every acyclic orientation of one equal-weight class, in search order.
 
-    Intra edge k-1 is decided first and edge 0 last, (u, v) before (v, u), so
-    the bits count upward. A partial orientation carries its reachability as
-    one int of m rows of m bits, row x holding the members that x reaches (x
-    included), and its arcs as a second int of the same shape. An arc whose
-    head already reaches its tail would close a cycle and is never added. A
-    head reaches strictly fewer members than its tail, so sorting members by
-    that count puts heads first.
+    The intra edges are decided one at a time, (u, v) before (v, u), and each
+    level extends the partial orientations of the last in their order. A
+    dense class (2^k > m!) decides edge 0 first, so its options come in
+    ascending order of their arc tuples; any other class decides edge k-1
+    first, so its flip bits count upward.
+
+    A partial orientation carries its reachability as one int of m rows of m
+    bits, row x holding the members that x reaches (x included), and its arcs
+    as a second int of the same shape. An arc whose head already reaches its
+    tail would close a cycle and is never added. A head reaches strictly
+    fewer members than its tail, so sorting members by that count puts heads
+    first.
+
+    The cap ``ell_prime_orientations`` bounds ``before``, the product of the
+    earlier classes' option counts, times this class's count. Every partial
+    orientation has an acyclic extension, so their number never shrinks from
+    one level to the next: the cap is checked after each level, and listing
+    stops at the first level that crosses it, at most twice the cap.
     """
     m = len(members)
+    k = len(intra)
     row = (1 << m) - 1
     shifts = [x * m for x in range(m)]
     firsts = sum(1 << s for s in shifts)  # bit 0 of every row
     ends = [(members.index(u), members.index(v)) for u, v in intra]
     partial = [(0, sum(1 << (s + x) for x, s in enumerate(shifts)), 0)]  # x reaches x
-    for i in range(len(intra) - 1, -1, -1):
+    dense = 2 ** k > math.factorial(m)
+    for i in range(k) if dense else range(k - 1, -1, -1):
         a, b = ends[i]
         longer = []
         for bits, reach, arcs in partial:
@@ -449,7 +464,12 @@ def _class_orientations(
                     bits | flip, reach | gained, arcs | 1 << (shifts[tail] + head)
                 ))
         partial = longer
+        if len(partial) * before > caps.ell_prime_orientations:
+            raise CapExceeded(
+                "ell_prime_orientations", caps.ell_prime_orientations, len(partial) * before
+            )
     interned: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+    options = []
     for bits, reach, arcs in partial:
         counts = [(reach >> s & row).bit_count() for s in shifts]
         order = []
@@ -462,20 +482,7 @@ def _class_orientations(
                     tuple(members[y] for y in range(m) if heads >> y & 1),
                 )
             order.append(pair)
-        yield bits, tuple(order)
-
-
-def _class_options(
-    members: list[int], intra: list[tuple[int, int]]
-) -> list[_ClassOption]:
-    """A class's orientations in search order: ascending flip bits, except that
-    a dense class (2^k > m!) is in ascending order of its arc tuple."""
-    options = list(_class_orientations(members, intra))
-    k = len(intra)
-    if 2 ** k > math.factorial(len(members)):
-        # arc tuples compare edge 0 first, and (u, v) < (v, u) for u < v: the
-        # flip bits read from bit 0 upward
-        options.sort(key=lambda o: f"{o[0]:0{k}b}"[::-1])
+        options.append((bits, tuple(order)))
     return options
 
 
@@ -504,6 +511,9 @@ def ell_prime_orientation(
     of ``_class_options``, and the witness is the first candidate that
     attains the minimum. Pruning never skips a candidate that beats the best
     so far, so the witness does not depend on the pruning.
+
+    The cap ``ell_prime_orientations`` bounds the candidates, the product of
+    the classes' option counts, as they are listed (see ``_class_options``).
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -522,9 +532,6 @@ def ell_prime_orientation(
             lighter[v].append(u)
         else:
             intra_by_class.setdefault(w[u - 1], []).append((u, v))
-    total_intra = sum(len(e) for e in intra_by_class.values())
-    if total_intra > caps.ell_prime_intra_edges:
-        raise CapExceeded("ell_prime_intra_edges", caps.ell_prime_intra_edges, total_intra)
 
     height = [0] * (n + 1)
     by_weight = sorted(range(1, n + 1), key=lambda v: w[v - 1])
@@ -538,16 +545,19 @@ def ell_prime_orientation(
     stages = []
     intras = []
     placed = 0
+    product = 1  # candidates so far: the product of the classes' option counts
     for c, intra in sorted(intra_by_class.items()):
         members = sorted({x for e in intra for x in e})
         upto = placed
         while upto < n and w[by_weight[upto] - 1] <= c:
             upto += 1
         fixed = [v for v in by_weight[placed:upto] if v not in members]
+        options = _class_options(members, intra, product, caps)
+        product *= len(options)
         stages.append((
             [(v, lighter[v]) for v in fixed],
             [(v, lighter[v]) for v in members],
-            _class_options(members, intra),
+            options,
         ))
         intras.append(intra)
         placed = upto

@@ -14,7 +14,6 @@ time budgets.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import time
@@ -179,14 +178,13 @@ def check_theorem1(ctx: _Context) -> tuple[bool, str, str]:
     return True, f"f == longest_path on {count} graphs (n <= {nmax})", "f == longest_path"
 
 
-def _theorem3_one(ctx: _Context, wg: WeightedGraph) -> str | None:
+def _theorem3_one(ctx: _Context, wg: WeightedGraph, chi: int) -> str | None:
     chi_poc, witness = oracles.chi_poc_exact(wg, ctx.caps)
     lprime = oracles.ell_prime_exact(wg, ctx.caps)
     if chi_poc != lprime:
         return f"chi_poc={chi_poc} ell_prime={lprime} on {_tag(wg)}"
     if not poc_engine.is_valid_poc(wg, witness):
         return f"invalid witness coloring on {_tag(wg)}"
-    chi = oracles.chromatic_number(wg.graph)
     if not chi <= chi_poc <= wg.n:
         return f"sandwich chi={chi} chi_poc={chi_poc} n={wg.n} violated on {_tag(wg)}"
     return None
@@ -194,18 +192,15 @@ def _theorem3_one(ctx: _Context, wg: WeightedGraph) -> str | None:
 
 def check_theorem3(ctx: _Context) -> tuple[bool, str, str]:
     """chi_POC(G,w) = ell'(G,w): backtracking vs orientation enumeration."""
-    caps = dataclasses.replace(
-        ctx.caps, ell_prime_intra_edges=max(ctx.caps.ell_prime_intra_edges, 28)
-    )
-    ctx = dataclasses.replace(ctx, caps=caps)
     nmax = 5 if ctx.full else 4
     rounds = 500 if ctx.full else 150
     count = 0
     for n in range(1, nmax + 1):
         weightings = list(oracles.weak_orderings(n))
         for g in oracles.enumerate_graphs(n):
+            chi = oracles.chromatic_number(g)
             for weights in weightings:
-                problem = _theorem3_one(ctx, WeightedGraph(g, weights))
+                problem = _theorem3_one(ctx, WeightedGraph(g, weights), chi)
                 if problem:
                     return False, problem, "chi_poc == ell_prime"
                 count += 1
@@ -213,7 +208,7 @@ def check_theorem3(ctx: _Context) -> tuple[bool, str, str]:
     for _ in range(rounds):
         n = rng.randint(1, 8)
         wg = random_weighted_graph(rng, n, rng.uniform(0.15, 0.85), rng.randint(1, 4))
-        problem = _theorem3_one(ctx, wg)
+        problem = _theorem3_one(ctx, wg, oracles.chromatic_number(wg.graph))
         if problem:
             return False, problem, "chi_poc == ell_prime"
         count += 1
@@ -337,22 +332,21 @@ def check_theorem2(ctx: _Context) -> tuple[bool, str, str]:
             value = mp.bipartite_chi_poc_t(m, n, t)
             if value - 1 > t:  # chi = 2
                 return False, f"K({m},{n}) ratio breached", "ratio bound"
-    caps = dataclasses.replace(ctx.caps, chi_poc_n=max(ctx.caps.chi_poc_n, 9))
     for k in (2, 3):
         for t in (2, 3):
             sizes = (t,) * k
             weights = tuple(range(1, t + 1)) * k
             inst = mp.MultipartiteInstance(sizes, weights)
             bound = (k - 1) * t + 1
-            chi_poc, _ = oracles.chi_poc_exact(inst.weighted_graph(), caps)
-            h = mp.h_value(sizes, t, caps)
+            chi_poc, _ = oracles.chi_poc_exact(inst.weighted_graph(), ctx.caps)
+            h = mp.h_value(sizes, t, ctx.caps)
             if chi_poc != bound or h != bound:
                 return (
                     False,
                     f"k={k} t={t}: chi_poc={chi_poc} h={h} bound={bound}",
                     "sharp instances reach (k-1)t+1",
                 )
-            for mocs in mp.enumerate_mocs(inst, caps):
+            for mocs in mp.enumerate_mocs(inst, ctx.caps):
                 s = mp.find_max_spaths(inst, mocs)
                 if s.vertex_count != 2 * t - 2:
                     return (

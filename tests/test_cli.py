@@ -199,6 +199,15 @@ def test_removed_sweep_cap_exits_2(capsys, monkeypatch, c4w_file):
     assert "unknown cap override 'f_n=9'" in err and "weightings" in err
 
 
+def test_removed_ell_prime_cap_exits_2(capsys, monkeypatch, c4w_file):
+    # ell' is bounded by the orientations it lists, not by its equal-weight edges
+    monkeypatch.setenv("POC_CAPS", "ell_prime_intra_edges=28")
+    rc, out, err = run(capsys, "oracle", c4w_file, "ellprime")
+    assert rc == 2 and out == ""
+    assert "unknown cap override 'ell_prime_intra_edges=28'" in err
+    assert "ell_prime_orientations" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "-3", "", "2.5"])
 def test_bad_cap_value_exits_2_naming_the_cap(capsys, monkeypatch, c4w_file, value):
     monkeypatch.setenv("POC_CAPS", f"chi_poc_n=12,weightings={value}")
@@ -338,3 +347,19 @@ def test_selftest_exit_code_on_failure(capsys, monkeypatch):
     assert rc == 1
     assert "fail theorem3-chi-poc-equals-ell-prime" in out
     assert "n=" in out  # the failing instance is named
+
+
+@pytest.mark.parametrize(
+    "cap, value, check",
+    [
+        ("chi_poc_n", 3, "theorem2-ratio-and-sharpness"),
+        # K4 with all weights equal has 24 orientations
+        ("ell_prime_orientations", 10, "theorem3-chi-poc-equals-ell-prime"),
+    ],
+)
+def test_selftest_runs_under_the_callers_caps(cap, value, check):
+    caps = oracles.OracleCaps(**{cap: value})
+    report = selftest.run_selftest("quick", caps=caps, names=(check,))
+    (result,) = report.checks
+    assert not result.passed
+    assert f"cap {cap}={value} exceeded" in result.observed

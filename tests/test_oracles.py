@@ -10,6 +10,7 @@ from typing import Iterator
 import pytest
 
 from pocgraph import (
+    DEFAULT_CAPS,
     CapExceeded,
     Coloring,
     Graph,
@@ -225,9 +226,36 @@ def test_ell_prime_witness_is_good_acyclic_and_attains():
 
 
 def test_ell_prime_cap():
+    # one class on a vertices has at most a! orientations, so every instance
+    # with n <= 8 stays within the default cap: K8 has 8! = 40 320
     g = WeightedGraph(complete_graph(8), (1,) * 8)
-    with pytest.raises(CapExceeded, match="ell_prime_intra_edges"):
+    assert ell_prime_exact(g) == 8
+    k4 = WeightedGraph(complete_graph(4), (1,) * 4)  # 4! = 24 orientations
+    assert ell_prime_exact(k4, OracleCaps(ell_prime_orientations=24)) == 4
+    with pytest.raises(CapExceeded, match="ell_prime_orientations=23"):
+        ell_prime_exact(k4, OracleCaps(ell_prime_orientations=23))
+
+
+@pytest.mark.parametrize("n", [18, 40])
+def test_ell_prime_cap_stops_listing_early(n):
+    # an equal-weight path on n vertices has 2^(n-1) orientations; the listing
+    # stops at the first level past the cap, at most doubling it
+    limit = DEFAULT_CAPS.ell_prime_orientations
+    with pytest.raises(CapExceeded, match="ell_prime_orientations") as info:
+        ell_prime_exact(WeightedGraph(path_graph(n), (1,) * n))
+    assert info.value.limit == limit
+    assert limit < info.value.actual <= 2 * limit
+
+
+def test_ell_prime_cap_bounds_the_product_over_classes():
+    # two equal-weight paths of 10 edges: 2^10 orientations each, 2^20 together
+    assert ell_prime_exact(WeightedGraph(path_graph(11), (1,) * 11)) == 2
+    edges = [(v, v + 1) for v in range(1, 11)] + [(v, v + 1) for v in range(12, 22)]
+    g = WeightedGraph(Graph(22, frozenset(edges)), (1,) * 11 + (2,) * 11)
+    limit = DEFAULT_CAPS.ell_prime_orientations
+    with pytest.raises(CapExceeded, match="ell_prime_orientations") as info:
         ell_prime_exact(g)
+    assert limit < info.value.actual <= 2 * limit
 
 
 def test_theorem3_agreement_exhaustive_n4():
@@ -365,7 +393,7 @@ def test_ell_prime_witness_matches_reference_search():
     kinds = set()
     for g in cases:
         value, arcs, stopped_early = _reference_ell_prime(g)
-        got, witness = ell_prime_orientation(g, OracleCaps(ell_prime_intra_edges=28))
+        got, witness = ell_prime_orientation(g)
         assert (got, witness.arcs) == (value, arcs), g
         members = {x for u, v in g.graph.edges if g.weight(u) == g.weight(v) for x in (u, v)}
         classes = {g.weight(v) for v in members}
