@@ -419,8 +419,8 @@ def _class_arcs(
 def _class_options(
     members: list[int],
     intra: list[tuple[int, int]],
-    before: int = 1,
-    caps: OracleCaps = DEFAULT_CAPS,
+    before: int,
+    caps: OracleCaps,
 ) -> list[_ClassOption]:
     """Every acyclic orientation of one equal-weight class, in search order.
 
@@ -438,17 +438,39 @@ def _class_options(
     first.
 
     The cap ``ell_prime_orientations`` bounds ``before``, the product of the
-    earlier classes' option counts, times this class's count. Every partial
-    orientation has an acyclic extension, so their number never shrinks from
-    one level to the next: the cap is checked after each level, and listing
-    stops at the first level that crosses it, at most twice the cap.
+    earlier classes' option counts, times this class's count. A class of m
+    members in c components has a spanning forest of m - c edges, each of
+    whose 2^(m-c) orientations extends to a different acyclic orientation,
+    so the forest's edges are counted first and the class is refused,
+    before anything is listed, at the first edge that takes ``before`` times
+    2^edges past the cap; under the default, every listed class has
+    m - c <= 16 and, with two members or more per component, m <= 32.
+    Every partial orientation has an acyclic extension, so their number
+    never shrinks from one level to the next: the cap is checked after each
+    level, and listing stops at the first level that crosses it. Either
+    way a refusal reports at most twice the cap.
     """
     m = len(members)
     k = len(intra)
+    index = {x: i for i, x in enumerate(members)}
+    ends = [(index[u], index[v]) for u, v in intra]
+    root = list(range(m))
+    least = before  # doubles with each spanning-forest edge found
+    for a, b in ends:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        while root[b] != b:
+            root[b] = root[root[b]]
+            b = root[b]
+        if a != b:
+            root[a] = b
+            least *= 2
+            if least > caps.ell_prime_orientations:
+                raise CapExceeded("ell_prime_orientations", caps.ell_prime_orientations, least)
     row = (1 << m) - 1
     shifts = [x * m for x in range(m)]
     firsts = sum(1 << s for s in shifts)  # bit 0 of every row
-    ends = [(members.index(u), members.index(v)) for u, v in intra]
     partial = [(0, sum(1 << (s + x) for x, s in enumerate(shifts)), 0)]  # x reaches x
     dense = 2 ** k > math.factorial(m)
     for i in range(k) if dense else range(k - 1, -1, -1):
@@ -551,8 +573,8 @@ def ell_prime_orientation(
         upto = placed
         while upto < n and w[by_weight[upto] - 1] <= c:
             upto += 1
-        fixed = [v for v in by_weight[placed:upto] if v not in members]
         options = _class_options(members, intra, product, caps)
+        fixed = [v for v in by_weight[placed:upto] if v not in members]
         product *= len(options)
         stages.append((
             [(v, lighter[v]) for v in fixed],

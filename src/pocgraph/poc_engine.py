@@ -145,21 +145,17 @@ def _heads_first(d: Orientation) -> list[int]:
     return order
 
 
-def _good_order(g: WeightedGraph, d: Orientation) -> list[int] | None:
-    """d's heads-first order when d is a good acyclic orientation of g, else None."""
+def is_good_acyclic(g: WeightedGraph, d: Orientation) -> bool:
+    """True iff d has no directed cycle and w(tail) >= w(head) on every arc."""
     if d.graph != g.graph:
         raise ValueError("orientation does not match the graph")
     if any(g.weight(t) < g.weight(h) for t, h in d.arcs):
-        return None
+        return False
     try:
-        return _heads_first(d)
+        _heads_first(d)
     except graphlib.CycleError:
-        return None
-
-
-def is_good_acyclic(g: WeightedGraph, d: Orientation) -> bool:
-    """True iff d has no directed cycle and w(tail) >= w(head) on every arc."""
-    return _good_order(g, d) is not None
+        return False
+    return True
 
 
 def dag_longest_path(d: Orientation) -> int:
@@ -181,10 +177,9 @@ def greedy_poc_from_orientation(g: WeightedGraph, d: Orientation) -> Coloring:
 
     Raises ValueError when d is not a good acyclic orientation of g.
     """
-    order = _good_order(g, d)
-    if order is None:
+    if not is_good_acyclic(g, d):
         raise ValueError("orientation is not good acyclic for this weighting")
-    body = _greedy_colors(order, d.out_neighbors)
+    body = _greedy_colors(_heads_first(d), d.out_neighbors)
     return Coloring(body, max(body))
 
 

@@ -1,12 +1,25 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from pocgraph import cli, oracles, parse_coloring, parse_wpoc, selftest
+from pocgraph import (
+    WeightedGraph,
+    cli,
+    oracles,
+    parse_coloring,
+    parse_wpoc,
+    path_graph,
+    selftest,
+    serialize_wpoc,
+)
 from pocgraph.fixtures import fixture_text
 
 
@@ -183,6 +196,25 @@ def test_cap_exceeded_exits_3(capsys, monkeypatch, c4w_file):
     rc, _, err = run(capsys, "oracle", c4w_file, "chipoc")
     assert rc == 3
     assert "chi_poc_n" in err
+
+
+def test_ellprime_refuses_a_long_equal_weight_path_in_little_memory(tmp_path):
+    # 2^1999 orientations: a spanning forest's count refuses the class before
+    # any listing, which would need gigabytes for a class this size; the child
+    # runs under a 512 MB address-space limit so that it cannot take them
+    n = 2000
+    path = tmp_path / "path.wpoc"
+    path.write_text(serialize_wpoc(WeightedGraph(path_graph(n), (1,) * n)))
+    limit = 512 << 20
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from pocgraph.cli import main; sys.exit(main())",
+         "oracle", str(path), "ellprime"],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "POC_CAPS": ""},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "cap ell_prime_orientations=100000 exceeded (instance needs 131072)" in proc.stderr
 
 
 def test_unknown_cap_exits_2(capsys, monkeypatch, c4w_file):

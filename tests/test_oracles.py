@@ -234,28 +234,48 @@ def test_ell_prime_cap():
     assert ell_prime_exact(k4, OracleCaps(ell_prime_orientations=24)) == 4
     with pytest.raises(CapExceeded, match="ell_prime_orientations=23"):
         ell_prime_exact(k4, OracleCaps(ell_prime_orientations=23))
+    p4 = WeightedGraph(path_graph(4), (1,) * 4)  # a tree: 2^3 orientations
+    assert ell_prime_exact(p4, OracleCaps(ell_prime_orientations=8)) == 2
+    with pytest.raises(CapExceeded, match="ell_prime_orientations=7"):
+        ell_prime_exact(p4, OracleCaps(ell_prime_orientations=7))
 
 
 @pytest.mark.parametrize("n", [18, 40])
-def test_ell_prime_cap_stops_listing_early(n):
-    # an equal-weight path on n vertices has 2^(n-1) orientations; the listing
-    # stops at the first level past the cap, at most doubling it
+def test_ell_prime_cap_counts_a_spanning_forest_first(n):
+    # an equal-weight path on n vertices is its own spanning tree, with
+    # 2^(n-1) orientations; counting its edges stops at the first past the cap
     limit = DEFAULT_CAPS.ell_prime_orientations
     with pytest.raises(CapExceeded, match="ell_prime_orientations") as info:
         ell_prime_exact(WeightedGraph(path_graph(n), (1,) * n))
     assert info.value.limit == limit
+    assert info.value.actual == 2**17
+
+
+def test_ell_prime_cap_stops_listing_early():
+    # K9 has 9! = 362 880 orientations but a spanning tree of 8 edges (2^8),
+    # so its listing starts; it stops at the first level past the cap
+    limit = DEFAULT_CAPS.ell_prime_orientations
+    with pytest.raises(CapExceeded, match="ell_prime_orientations") as info:
+        ell_prime_exact(WeightedGraph(complete_graph(9), (1,) * 9))
     assert limit < info.value.actual <= 2 * limit
 
 
 def test_ell_prime_cap_bounds_the_product_over_classes():
-    # two equal-weight paths of 10 edges: 2^10 orientations each, 2^20 together
+    # each class is under the cap but not their product: two equal-weight
+    # paths of 10 edges (2^10 each, 2^20 together) are refused by the second
+    # path's spanning tree; K5 then K7 (120 * 5040) only while listing K7
     assert ell_prime_exact(WeightedGraph(path_graph(11), (1,) * 11)) == 2
-    edges = [(v, v + 1) for v in range(1, 11)] + [(v, v + 1) for v in range(12, 22)]
-    g = WeightedGraph(Graph(22, frozenset(edges)), (1,) * 11 + (2,) * 11)
+    assert ell_prime_exact(WeightedGraph(complete_graph(7), (1,) * 7)) == 7
+    paths = [(v, v + 1) for v in range(1, 11)] + [(v, v + 1) for v in range(12, 22)]
+    cliques = [*itertools.combinations(range(1, 6), 2), *itertools.combinations(range(6, 13), 2)]
     limit = DEFAULT_CAPS.ell_prime_orientations
-    with pytest.raises(CapExceeded, match="ell_prime_orientations") as info:
-        ell_prime_exact(g)
-    assert limit < info.value.actual <= 2 * limit
+    for g in (
+        WeightedGraph(Graph(22, frozenset(paths)), (1,) * 11 + (2,) * 11),
+        WeightedGraph(Graph(12, frozenset(cliques)), (1,) * 5 + (2,) * 7),
+    ):
+        with pytest.raises(CapExceeded, match="ell_prime_orientations") as info:
+            ell_prime_exact(g)
+        assert limit < info.value.actual <= 2 * limit
 
 
 def test_theorem3_agreement_exhaustive_n4():
@@ -291,7 +311,7 @@ def _stanley_count(k: int, edges) -> int:
 def _class_enumerator_problem(edges) -> str | None:
     members = sorted({x for e in edges for x in e})
     intra = sorted(edges)
-    options = oracles_mod._class_options(members, intra)
+    options = oracles_mod._class_options(members, intra, 1, DEFAULT_CAPS)
     expected = _stanley_count(len(members), intra)
     if len(options) != expected:
         return f"{len(options)} orientations, |P_G(-1)| = {expected}"
