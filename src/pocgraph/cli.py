@@ -165,9 +165,7 @@ def cmd_oracle(args: argparse.Namespace, caps: OracleCaps) -> int:
             _say("oracle chipoct requires --t")
             return 2
         else:
-            value, weights = oracles.chi_poc_t_argmax(
-                g.graph, args.t, caps, surjective_only=args.surjective
-            )
+            value, weights = oracles.chi_poc_t_argmax(g.graph, args.t, caps)
         print(f"{quantity} {value}")
         if args.witness:
             print(f"weights {','.join(map(str, weights))}")
@@ -299,11 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         "quantity", choices=("chi", "chipoc", "ell", "ellprime", "f", "chipoct")
     )
     p.add_argument("--t", type=int, help="number of weight values for chipoct")
-    p.add_argument(
-        "--surjective",
-        action="store_true",
-        help="chipoct: require exactly t distinct values",
-    )
     p.add_argument("--witness", action="store_true", help="also emit a witness")
     p.set_defaults(func=cmd_oracle)
 

@@ -404,16 +404,9 @@ def chi_poc_exact(
 # ell' by class-by-class heights over good acyclic orientations
 # ---------------------------------------------------------------------------
 
-# One acyclic orientation of an equal-weight class: its flip bits and a
-# heads-first order of ``(vertex, in-class heads)`` pairs.
-_ClassOption = tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]
-
-
-def _class_arcs(
-    intra: list[tuple[int, int]], bits: int
-) -> tuple[tuple[int, int], ...]:
-    """The arcs of one class orientation: bit i flips intra edge i=(u, v) to v -> u."""
-    return tuple((v, u) if bits >> i & 1 else (u, v) for i, (u, v) in enumerate(intra))
+# One acyclic orientation of an equal-weight class: a heads-first order of
+# ``(vertex, in-class heads)`` pairs, which lists every intra arc once.
+_ClassOption = tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def _class_options(
@@ -428,7 +421,8 @@ def _class_options(
     level extends the partial orientations of the last in their order. A
     dense class (2^k > m!) decides edge 0 first, so its options come in
     ascending order of their arc tuples; any other class decides edge k-1
-    first, so its flip bits count upward.
+    first, so its options come in ascending order of the number whose bit i
+    is set when intra edge i is reversed.
 
     A partial orientation carries its reachability as one int of m rows of m
     bits, row x holding the members that x reaches (x included), and its arcs
@@ -471,20 +465,18 @@ def _class_options(
     row = (1 << m) - 1
     shifts = [x * m for x in range(m)]
     firsts = sum(1 << s for s in shifts)  # bit 0 of every row
-    partial = [(0, sum(1 << (s + x) for x, s in enumerate(shifts)), 0)]  # x reaches x
+    partial = [(sum(1 << (s + x) for x, s in enumerate(shifts)), 0)]  # x reaches x
     dense = 2 ** k > math.factorial(m)
     for i in range(k) if dense else range(k - 1, -1, -1):
         a, b = ends[i]
         longer = []
-        for bits, reach, arcs in partial:
-            for tail, head, flip in ((a, b, 0), (b, a, 1 << i)):
+        for reach, arcs in partial:
+            for tail, head in ((a, b), (b, a)):
                 if reach >> (shifts[head] + tail) & 1:
                     continue
                 # every row that reaches the tail now reaches all the head reaches
                 gained = (reach >> tail & firsts) * (reach >> shifts[head] & row)
-                longer.append((
-                    bits | flip, reach | gained, arcs | 1 << (shifts[tail] + head)
-                ))
+                longer.append((reach | gained, arcs | 1 << (shifts[tail] + head)))
         partial = longer
         if len(partial) * before > caps.ell_prime_orientations:
             raise CapExceeded(
@@ -492,7 +484,7 @@ def _class_options(
             )
     interned: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     options = []
-    for bits, reach, arcs in partial:
+    for reach, arcs in partial:
         counts = [(reach >> s & row).bit_count() for s in shifts]
         order = []
         for x in sorted(range(m), key=counts.__getitem__):
@@ -504,7 +496,7 @@ def _class_options(
                     tuple(members[y] for y in range(m) if heads >> y & 1),
                 )
             order.append(pair)
-        options.append((bits, tuple(order)))
+        options.append(tuple(order))
     return options
 
 
@@ -565,7 +557,6 @@ def ell_prime_orientation(
     # class's weight, that class's members, and its options. A last stage
     # with a single empty option holds the vertices above the heaviest class.
     stages = []
-    intras = []
     placed = 0
     product = 1  # candidates so far: the product of the classes' option counts
     for c, intra in sorted(intra_by_class.items()):
@@ -581,15 +572,13 @@ def ell_prime_orientation(
             [(v, lighter[v]) for v in members],
             options,
         ))
-        intras.append(intra)
         placed = upto
     if placed < n:
-        stages.append(([(v, lighter[v]) for v in by_weight[placed:]], [], [(0, ())]))
-        intras.append([])
+        stages.append(([(v, lighter[v]) for v in by_weight[placed:]], [], [()]))
 
     best = n + 1  # above every candidate's value
-    best_choice: list[int] = []
-    choice = [0] * len(stages)
+    best_choice: list[_ClassOption] = []
+    choice: list[_ClassOption] = [()] * len(stages)
     last = len(stages) - 1
 
     def search(s: int, reached: int) -> bool:
@@ -602,7 +591,7 @@ def ell_prime_orientation(
         if reached >= best:
             return False
         base = {v: 1 + max((height[x] for x in heads), default=0) for v, heads in members}
-        for bits, order in options:
+        for order in options:
             top = reached
             for v, heads in order:
                 h = base[v]
@@ -614,7 +603,7 @@ def ell_prime_orientation(
                     top = h
             if top >= best:
                 continue
-            choice[s] = bits
+            choice[s] = order
             if s < last:
                 if search(s + 1, top):
                     return True
@@ -627,8 +616,7 @@ def ell_prime_orientation(
 
     search(0, 0)
     arcs = set(forced)
-    for intra, bits in zip(intras, best_choice):
-        arcs.update(_class_arcs(intra, bits))
+    arcs.update((v, h) for order in best_choice for v, heads in order for h in heads)
     return best, Orientation(gn.graph, frozenset(arcs))
 
 
@@ -642,7 +630,7 @@ def ell_prime_exact(g: WeightedGraph, caps: OracleCaps = DEFAULT_CAPS) -> int:
 
 
 @lru_cache(maxsize=None)
-def _sweep_weightings(n: int, max_blocks: int | None) -> tuple[bytes, bytes]:
+def _sweep_weightings(n: int, max_blocks: int) -> tuple[bytes, bytes]:
     """The weightings of ``weak_orderings(n, max_blocks)`` (n >= 1), in its
     order, less each one whose reversal came earlier (see ``f_argmax``), as
     two tables built in one pass, once per key, and shared by every graph
@@ -690,37 +678,29 @@ def _sweep_weightings(n: int, max_blocks: int | None) -> tuple[bytes, bytes]:
 
 
 @lru_cache(maxsize=None)
-def _weighting_count(n: int, max_blocks: int | None) -> int:
+def _weighting_count(n: int, max_blocks: int) -> int:
     """How many weightings ``weak_orderings(n, max_blocks)`` yields (n >= 1):
     the surjections onto k ranks, by inclusion-exclusion, summed over k."""
-    last = n if max_blocks is None else min(max_blocks, n)
     return sum(
         (-1) ** j * math.comb(k, j) * (k - j) ** n
-        for k in range(1, last + 1)
+        for k in range(1, min(max_blocks, n) + 1)
         for j in range(k + 1)
     )
 
 
-def _worst_weighting(
-    g: Graph, caps: OracleCaps, t: int | None = None, surjective_only: bool = False
-) -> tuple[int, tuple[int, ...]]:
+def _worst_weighting(g: Graph, caps: OracleCaps, t: int) -> tuple[int, tuple[int, ...]]:
     """The largest chi_POC over the weak orderings of g's vertices with at most
-    t blocks (exactly t if ``surjective_only``; any number if t is None), and
-    the first weighting in ``weak_orderings`` order that attains it. The
-    ``weightings`` cap counts the weak orderings with at most t blocks."""
+    t blocks, and the first weighting in ``weak_orderings`` order that attains
+    it. The ``weightings`` cap counts those weak orderings."""
     n = g.n
     if n < 1:
         raise ValueError("graph must have at least one vertex")
-    if surjective_only and t > n:
-        raise ValueError(f"no surjective weighting with {t} values on {n} vertices")
     if n > caps.chi_poc_n:
         raise CapExceeded("chi_poc_n", caps.chi_poc_n, n)
-    # t >= n allows every weak ordering: the same table as f's
-    max_blocks = None if t is None or t >= n else t
+    max_blocks = min(t, n)  # t >= n allows every weak ordering: the same table as f's
     count = _weighting_count(n, max_blocks)
     if count > caps.weightings:
         raise CapExceeded("weightings", caps.weightings, count)
-    blocks = t if surjective_only else None
     solve = _poc_search(g)
     ranks, codes = _sweep_weightings(n, max_blocks)
     stride = n + 1
@@ -733,12 +713,10 @@ def _worst_weighting(
     best_weights: tuple[int, ...] = ()
     for start, at in zip(range(0, len(ranks), stride), range(0, len(codes), width)):
         pattern = int.from_bytes(codes[at:at + width], "little") & adjacency
-        if pattern in seen:  # seen only holds patterns of rows that passed the filter
-            continue
-        row = ranks[start:start + stride]
-        if blocks is not None and max(row) != blocks:
+        if pattern in seen:
             continue
         seen.add(pattern)
+        row = ranks[start:start + stride]
         value, _ = solve(row, best)
         if value > best:
             best, best_weights = value, tuple(row[1:])
@@ -775,7 +753,7 @@ def f_argmax(g: Graph, caps: OracleCaps = DEFAULT_CAPS) -> tuple[int, tuple[int,
 
     The ``best == n`` ceiling still ends the sweep early.
     """
-    return _worst_weighting(g, caps)
+    return _worst_weighting(g, caps, g.n)
 
 
 def f_exact(g: Graph, caps: OracleCaps = DEFAULT_CAPS) -> int:
@@ -783,31 +761,34 @@ def f_exact(g: Graph, caps: OracleCaps = DEFAULT_CAPS) -> int:
 
 
 def chi_poc_t_argmax(
-    g: Graph,
-    t: int,
-    caps: OracleCaps = DEFAULT_CAPS,
-    surjective_only: bool = False,
+    g: Graph, t: int, caps: OracleCaps = DEFAULT_CAPS
 ) -> tuple[int, tuple[int, ...]]:
     """Worst-case POC palette over weightings with at most t distinct values,
-    plus a weighting attaining it.
+    plus a weighting attaining it: the first in ``weak_orderings`` order.
 
-    With surjective_only=True the weighting must use exactly t values
-    (requires t <= n); the default reading allows fewer, which is what makes
-    the quantity monotone in t. The sweep and its witness are those of
-    ``f_argmax``, restricted to weak orderings with that many blocks.
+    The sweep and its witness are those of ``f_argmax``, restricted to weak
+    orderings with at most t blocks. Reading "at most t values" as "exactly
+    min(t, n) values" changes neither the value nor the witness:
+
+    - splitting a weight class into two consecutive ranks only turns some
+      ``!=`` edges into strict ones, and a POC of the split weighting is one
+      of the unsplit weighting, so chi_POC cannot drop;
+    - in ``weak_orderings`` order, splitting the least member off the first
+      block with two or more members gives an earlier weighting: the blocks
+      before it are unchanged and the split-off block is smaller;
+    - so a weighting with fewer than min(t, n) values has an earlier one,
+      still within t values, with at least the same chi_POC, and the first
+      maximiser, which the sweep returns, uses exactly min(t, n) values. It
+      is also the first maximiser among the weightings with exactly that
+      many values.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    return _worst_weighting(g, caps, t, surjective_only)
+    return _worst_weighting(g, caps, t)
 
 
-def chi_poc_t(
-    g: Graph,
-    t: int,
-    caps: OracleCaps = DEFAULT_CAPS,
-    surjective_only: bool = False,
-) -> int:
-    return chi_poc_t_argmax(g, t, caps, surjective_only)[0]
+def chi_poc_t(g: Graph, t: int, caps: OracleCaps = DEFAULT_CAPS) -> int:
+    return chi_poc_t_argmax(g, t, caps)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from __future__ import annotations
 import os
 import time
 
+from pocgraph import Coloring, WeightedGraph, build_good_orientation, path_graph
 from pocgraph.oracles import DEFAULT_CAPS
-from pocgraph.selftest import CHECKS, Check, _Context
+from pocgraph.selftest import CHECKS, Check, _Context, _height_problem
 
 SCALE = os.environ.get("POC_ACCEPTANCE_SCALE", "full")
 
@@ -82,3 +83,15 @@ def test_table_integrity():
     assert sorted(c.name for checks in GENERATED.values() for c in checks) == sorted(names)
     # no hand-written test shadows a generated one
     assert all(globals()[name].__name__ == "test" for name in GENERATED)
+
+
+def test_height_certificate_refuses_heights_plus_one():
+    # the oriented-greedy checks certify colors as heights from the arcs alone
+    g = WeightedGraph(path_graph(3), (3, 2, 1))
+    d = build_good_orientation(g)
+    assert d.arcs == {(1, 2), (2, 3)}
+    assert _height_problem(d, Coloring((3, 2, 1), 3)) is None
+    problem = _height_problem(d, Coloring((4, 3, 2), 4))
+    assert problem == "vertex 3 has color 2 and no out-neighbor colored 1"
+    assert _height_problem(d, Coloring((3, 2, 1), 4)) == "palette 4 is not the largest color"
+    assert _height_problem(d, Coloring((2, 2, 1), 2)).startswith("color 2 of 1 does not fall")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import os
 import re
@@ -161,6 +162,15 @@ def test_oracle_chipoct_k23(capsys, tmp_path):
     assert rc == 0 and "chipoct 5" in out
 
 
+def test_oracle_chipoct_witness_uses_t_values(capsys, c4w_file):
+    # the first worst weighting with at most t values uses exactly min(t, n)
+    rc, out, _ = run(capsys, "oracle", c4w_file, "chipoct", "--t", "2", "--witness")
+    assert rc == 0
+    lines = [line for line in out.splitlines() if line.startswith("weights ")]
+    assert len(lines) == 1
+    assert len(set(lines[0].split()[1].split(","))) == 2
+
+
 def test_oracle_chipoct_requires_t(capsys, c4w_file):
     rc, _, err = run(capsys, "oracle", c4w_file, "chipoct")
     assert rc == 2 and "--t" in err
@@ -240,6 +250,15 @@ def test_removed_ell_prime_cap_exits_2(capsys, monkeypatch, c4w_file):
     assert "ell_prime_orientations" in err
 
 
+def test_removed_surjective_flag_exits_2(capsys, c4w_file):
+    # chi_poc(G;t) has one reading: at most t values, which for t <= n is exactly t
+    with pytest.raises(SystemExit) as info:
+        run(capsys, "oracle", c4w_file, "chipoct", "--t", "2", "--surjective")
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --surjective" in captured.err
+
+
 @pytest.mark.parametrize("value", ["abc", "-3", "", "2.5"])
 def test_bad_cap_value_exits_2_naming_the_cap(capsys, monkeypatch, c4w_file, value):
     monkeypatch.setenv("POC_CAPS", f"chi_poc_n=12,weightings={value}")
@@ -254,6 +273,21 @@ def test_readme_caps_table_lists_every_cap_with_its_default():
     rows = re.findall(r"^\| `(\w+)` \| (\d+) \|", section, re.MULTILINE)
     fields = dataclasses.fields(oracles.OracleCaps)
     assert rows == [(f.name, str(f.default)) for f in fields]
+
+
+def test_readme_documents_every_cli_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    missing = [
+        (command, action.option_strings)
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        if action.option_strings and action.dest != "help"
+        if not any(re.search(rf"{re.escape(o)}(?![\w-])", readme) for o in action.option_strings)
+    ]
+    assert missing == []
 
 
 # ---------------------------------------------------------------------------

@@ -315,15 +315,15 @@ def _class_enumerator_problem(edges) -> str | None:
     expected = _stanley_count(len(members), intra)
     if len(options) != expected:
         return f"{len(options)} orientations, |P_G(-1)| = {expected}"
-    if len({bits for bits, _ in options}) != len(options):
+    if len(set(options)) != len(options):
         return "an orientation repeats"
-    for bits, order in options:
+    for order in options:
         if sorted(v for v, _ in order) != members:
             return f"order {order} does not list the members once each"
         position = {v: i for i, (v, _) in enumerate(order)}
-        arcs = {(v, h) for v, heads in order for h in heads}
-        if arcs != set(oracles_mod._class_arcs(intra, bits)):
-            return f"order {order} does not carry the arcs of bits {bits}"
+        arcs = [(v, h) for v, heads in order for h in heads]
+        if sorted((min(a), max(a)) for a in arcs) != intra:
+            return f"order {order} does not orient every intra edge exactly once"
         if any(position[h] > position[t] for t, h in arcs):
             return f"order {order} is not heads-first"
     return None
@@ -468,11 +468,11 @@ def test_weak_ordering_counts():
 def test_weighting_count_is_the_weak_ordering_count():
     # what the sweeps' ``weightings`` cap reads, without listing a weighting
     for n in range(1, 8):
-        for max_blocks in (None, *range(n + 2)):
+        for max_blocks in range(n + 2):
             listed = sum(1 for _ in weak_orderings(n, max_blocks))
             assert oracles_mod._weighting_count(n, max_blocks) == listed, (n, max_blocks)
-    assert oracles_mod._weighting_count(8, None) == 545835
-    assert oracles_mod._weighting_count(9, None) == 7087261
+    assert oracles_mod._weighting_count(8, 8) == 545835
+    assert oracles_mod._weighting_count(9, 9) == 7087261
     assert oracles_mod._weighting_count(9, 3) == 18661
 
 
@@ -566,42 +566,23 @@ def test_chi_poc_t_monotone_small():
             assert all(a <= b for a, b in zip(values, values[1:]))
 
 
-def test_chi_poc_t_surjective_flag():
-    g = complete_multipartite_graph((1, 3))
-    for t in (1, 2, 3, 4):
-        loose = chi_poc_t(g, t)
-        strict = chi_poc_t(g, t, surjective_only=True)
-        assert strict <= loose
-        assert loose == max(
-            chi_poc_t(g, s, surjective_only=True) for s in range(1, t + 1)
-        )
-    with pytest.raises(ValueError, match="surjective"):
-        chi_poc_t(g, 5, surjective_only=True)
-
-
 def test_sweep_caps_and_errors():
     g = path_graph(5)
     small = OracleCaps(chi_poc_n=4)
     with pytest.raises(CapExceeded, match=r"^cap chi_poc_n=4 exceeded \(instance needs 5\)$"):
         f_argmax(g, small)
-    for surjective_only in (False, True):
-        with pytest.raises(CapExceeded, match="chi_poc_n=4") as info:
-            chi_poc_t_argmax(g, 2, small, surjective_only)
-        assert info.value.cap == "chi_poc_n"
+    with pytest.raises(CapExceeded, match="chi_poc_n=4") as info:
+        chi_poc_t_argmax(g, 2, small)
+    assert info.value.cap == "chi_poc_n"
     # 541 weak orderings of 5 vertices, 31 with at most 2 blocks
     with pytest.raises(CapExceeded, match=r"^cap weightings=540 exceeded \(instance needs 541\)$"):
         f_argmax(g, OracleCaps(weightings=540))
-    for surjective_only in (False, True):
-        with pytest.raises(
-            CapExceeded, match=r"^cap weightings=30 exceeded \(instance needs 31\)$"
-        ):
-            chi_poc_t_argmax(g, 2, OracleCaps(weightings=30), surjective_only)
+    with pytest.raises(CapExceeded, match=r"^cap weightings=30 exceeded \(instance needs 31\)$"):
+        chi_poc_t_argmax(g, 2, OracleCaps(weightings=30))
     assert f_argmax(g, OracleCaps(weightings=541)) == f_argmax(g)
     assert chi_poc_t_argmax(g, 2, OracleCaps(weightings=31)) == chi_poc_t_argmax(g, 2)
     with pytest.raises(ValueError, match=r"^t must be >= 1, got 0$"):
         chi_poc_t_argmax(g, 0)
-    with pytest.raises(ValueError, match=r"^no surjective weighting with 6 values on 5 vertices$"):
-        chi_poc_t_argmax(g, 6, surjective_only=True)
     for empty in (f_argmax, lambda g: chi_poc_t_argmax(g, 1)):
         with pytest.raises(ValueError, match="at least one vertex"):
             empty(Graph(0, frozenset()))
@@ -670,13 +651,14 @@ def _reference_chi_poc(g: WeightedGraph) -> tuple[int, tuple[int, ...]]:
 
 
 def _reference_sweep(
-    g: Graph, t: int | None = None, surjective_only: bool = False
+    g: Graph, t: int | None = None, exactly_t: bool = False
 ) -> tuple[int, tuple[int, ...]]:
-    """f_argmax (t=None) or chi_poc_t_argmax: a fresh search per weak ordering."""
+    """f_argmax (t=None) or chi_poc_t_argmax: a fresh search per weak ordering.
+    With exactly_t, only the weightings with exactly t values (t <= n)."""
     orderings = weak_orderings(g.n, None if t is None else min(t, g.n))
     best, best_weights = 0, ()
     for weights in orderings:
-        if surjective_only and max(weights) != t:
+        if exactly_t and max(weights) != t:
             continue
         value, _ = _reference_chi_poc(WeightedGraph(g, weights))
         if value > best:
@@ -702,14 +684,16 @@ def _sweep_graphs():
 
 
 def test_sweeps_match_reference_sweep():
+    # for t <= n, at most t values and exactly t give the same value and
+    # witness (see chi_poc_t_argmax), so the witness has min(t, n) values
     for g in _sweep_graphs():
         assert f_argmax(g) == _reference_sweep(g), g
         for t in range(1, g.n + 2):
-            assert chi_poc_t_argmax(g, t) == _reference_sweep(g, t), (g, t)
+            result = chi_poc_t_argmax(g, t)
+            assert result == _reference_sweep(g, t), (g, t)
+            assert len(set(result[1])) == min(t, g.n), (g, t, result)
             if t <= g.n:
-                assert chi_poc_t_argmax(g, t, surjective_only=True) == _reference_sweep(
-                    g, t, True
-                ), (g, t)
+                assert result == _reference_sweep(g, t, True), (g, t)
 
 
 def test_multipartite_sweeps_match_reference_sweep():
@@ -717,10 +701,10 @@ def test_multipartite_sweeps_match_reference_sweep():
     for parts in ((2, 2, 3), (1, 3, 4), (3, 3, 3)):
         g = complete_multipartite_graph(parts)
         for t in (1, 2, 3):
-            assert chi_poc_t_argmax(g, t) == _reference_sweep(g, t), (parts, t)
-            assert chi_poc_t_argmax(g, t, surjective_only=True) == _reference_sweep(
-                g, t, True
-            ), (parts, t)
+            result = chi_poc_t_argmax(g, t)
+            assert result == _reference_sweep(g, t), (parts, t)
+            assert len(set(result[1])) == t, (parts, t, result)
+            assert result == _reference_sweep(g, t, True), (parts, t)
 
 
 def _reversed(weights: tuple[int, ...]) -> tuple[int, ...]:
@@ -757,7 +741,7 @@ def test_sweep_keeps_the_first_of_each_reversed_pair():
                 assert earlier == ((len(last), last) >= (len(first), first)), w
 
 
-def _table_rows(n: int, max_blocks: int | None) -> list[tuple[tuple[int, ...], int]]:
+def _table_rows(n: int, max_blocks: int) -> list[tuple[tuple[int, ...], int]]:
     """The table's rows as (weights, decoded code) pairs."""
     ranks, codes = oracles_mod._sweep_weightings(n, max_blocks)
     width = (n * n + 7) // 8
@@ -783,7 +767,7 @@ def _strictly_lighter(weights: tuple[int, ...]) -> int:
 
 
 def test_sweep_table_is_the_unreversed_weak_orderings():
-    keys = [(n, b) for n in range(1, 7) for b in (None, 1, 2, 3)] + [(7, 3), (8, 3)]
+    keys = [(n, b) for n in range(1, 7) for b in sorted({n, 1, 2, 3})] + [(7, 3), (8, 3)]
     for n, max_blocks in keys:
         order = list(weak_orderings(n, max_blocks))
         position = {w: i for i, w in enumerate(order)}
@@ -798,8 +782,7 @@ def test_sweep_table_is_the_unreversed_weak_orderings():
     for n in range(1, 5):
         for g in enumerate_graphs(n):
             results = [f_argmax(g)]
-            results += [chi_poc_t_argmax(g, t) for t in (1, 2, 3)]
-            results += [chi_poc_t_argmax(g, t, surjective_only=True) for t in range(1, n + 1)]
+            results += [chi_poc_t_argmax(g, t) for t in range(1, n + 2)]
             for _, weights in results:
                 assert type(weights) is tuple and len(weights) == n, (g, weights)
                 assert all(type(x) is int for x in weights), (g, weights)
@@ -807,7 +790,7 @@ def test_sweep_table_is_the_unreversed_weak_orderings():
 
 def test_sweep_table_is_built_once_per_key(monkeypatch):
     real = oracles_mod.weak_orderings
-    generations: dict[tuple[int, int | None], int] = {}
+    generations: dict[tuple[int, int], int] = {}
 
     def counting(n, max_blocks=None):
         generations[n, max_blocks] = generations.get((n, max_blocks), 0) + 1
@@ -821,9 +804,7 @@ def test_sweep_table_is_built_once_per_key(monkeypatch):
             for t in (1, 2, 3):
                 chi_poc_t_argmax(g, t)
     # t >= n allows every weak ordering, so it reads f's table
-    keys = {
-        (n, None if b is None or b >= n else b) for n in range(1, 6) for b in (None, 1, 2, 3)
-    }
+    keys = {(n, min(b, n)) for n in range(1, 6) for b in (n, 1, 2, 3)}
     assert set(generations) == keys
     assert max(generations.values()) == 1, generations
 
@@ -833,7 +814,6 @@ def test_t_at_least_n_reads_fs_table():
     oracles_mod._sweep_weightings.cache_clear()
     f_argmax(g)
     chi_poc_t_argmax(g, g.n)
-    chi_poc_t_argmax(g, g.n, surjective_only=True)
     chi_poc_t_argmax(g, g.n + 3)
     assert oracles_mod._sweep_weightings.cache_info().currsize == 1
 
@@ -846,12 +826,9 @@ def test_sweep_caps_refuse_before_building_a_table():
     assert (info.value.cap, info.value.actual) == ("weightings", 7087261)
     # at most 5 blocks: 1 039 261 weak orderings; t >= n counts them all
     for t, actual in ((5, 1039261), (9, 7087261), (12, 7087261)):
-        for surjective_only in (False, True):
-            if surjective_only and t > g.n:
-                continue
-            with pytest.raises(CapExceeded) as info:
-                chi_poc_t_argmax(g, t, surjective_only=surjective_only)
-            assert (info.value.cap, info.value.actual) == ("weightings", actual), t
+        with pytest.raises(CapExceeded) as info:
+            chi_poc_t_argmax(g, t)
+        assert (info.value.cap, info.value.actual) == ("weightings", actual), t
     small = OracleCaps(chi_poc_n=4)
     with pytest.raises(CapExceeded) as info:
         f_argmax(path_graph(5), small)
@@ -876,7 +853,7 @@ def test_sweep_pattern_key_is_exact(monkeypatch):
     """A row's code ANDed with the graph's adjacency is its comparison pattern
     on the edges, which fixes chi_POC, so a sweep solves each pattern once."""
     for n in range(1, 6):
-        for max_blocks in (None, 1, 2, 3):
+        for max_blocks in sorted({n, 1, 2, 3}):
             rows = _table_rows(n, max_blocks)
             for g in enumerate_graphs(n):
                 adjacency = sum(
@@ -910,21 +887,13 @@ def test_sweep_pattern_key_is_exact(monkeypatch):
     assert solved == 1
     for n in range(1, 6):
         for g in enumerate_graphs(n):
-            sweeps = [(None, None, lambda: f_argmax(g))]
-            for t in (1, 2, 3):
-                b = min(t, n)
-                sweeps.append((b, None, lambda t=t: chi_poc_t_argmax(g, t)))
-                if t <= n:
-                    sweeps.append((b, t, lambda t=t: chi_poc_t_argmax(g, t, surjective_only=True)))
-            for max_blocks, blocks, sweep in sweeps:
-                patterns = {
-                    _edge_signs(g, weights)
-                    for weights, _ in _table_rows(n, max_blocks)
-                    if blocks is None or max(weights) == blocks
-                }
+            sweeps = [(n, lambda: f_argmax(g))]
+            sweeps += [(min(t, n), lambda t=t: chi_poc_t_argmax(g, t)) for t in (1, 2, 3)]
+            for max_blocks, sweep in sweeps:
+                patterns = {_edge_signs(g, weights) for weights, _ in _table_rows(n, max_blocks)}
                 solved = 0
                 sweep()
-                assert 1 <= solved <= len(patterns), (g, max_blocks, blocks)
+                assert 1 <= solved <= len(patterns), (g, max_blocks)
 
 
 # ---------------------------------------------------------------------------
