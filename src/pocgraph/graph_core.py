@@ -36,13 +36,14 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.n}")
+        n = self.n
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
         for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"edge ({u},{v}) not normalized or out of range 1..{self.n}")
+            if not (1 <= u < v <= n):
+                if u == v:
+                    raise ValueError(f"loop at vertex {u}")
+                raise ValueError(f"edge ({u},{v}) not normalized or out of range 1..{n}")
 
     @staticmethod
     def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -95,6 +96,8 @@ class WeightedGraph:
             raise ValueError(
                 f"expected {self.graph.n} weights, got {len(self.weights)}"
             )
+        if not self.weights or min(self.weights) >= 1:
+            return
         for v, w in enumerate(self.weights, start=1):
             if w < 1:
                 raise ValueError(f"vertex {v}: weight must be >= 1, got {w}")
@@ -122,6 +125,8 @@ class Coloring:
     def __post_init__(self) -> None:
         if self.palette < 0:
             raise ValueError(f"palette must be >= 0, got {self.palette}")
+        if not self.colors or 1 <= min(self.colors) and max(self.colors) <= self.palette:
+            return
         for v, c in enumerate(self.colors, start=1):
             if not (1 <= c <= self.palette):
                 raise ValueError(
@@ -140,7 +145,10 @@ class Orientation:
     arcs: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        covered: set[tuple[int, int]] = set()
+        normalized = {(t, h) if t < h else (h, t) for t, h in self.arcs}
+        if len(normalized) == len(self.arcs) and normalized == self.graph.edges:
+            return
+        covered: set[tuple[int, int]] = set()  # walk the arcs to name the first fault
         for t, h in self.arcs:
             e = (t, h) if t < h else (h, t)
             if e not in self.graph.edges:
@@ -196,12 +204,30 @@ def parse_wpoc(text: str) -> WeightedGraph:
     weights: dict[int, int] = {}
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         tag = parts[0]
-        if tag == "p":
+        if tag == "e" and n >= 0:  # most lines are edges, so they are parsed inline
+            if len(parts) != 3:
+                got = len(parts) - 1
+                raise FormatError(f"'e' line needs 2 integer fields, got {got}", lineno)
+            try:
+                u = int(parts[1])
+                v = int(parts[2])
+            except ValueError:
+                raise FormatError("non-integer field in 'e' line", lineno) from None
+            if u == v:
+                raise FormatError(f"loop at vertex {u}", lineno)
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise FormatError(f"edge ({u},{v}) out of range 1..{n}", lineno)
+            e = (u, v) if u < v else (v, u)
+            if e in edges:
+                raise FormatError(f"duplicate edge {{{e[0]},{e[1]}}}", lineno)
+            edges.add(e)
+        elif tag.startswith("#"):
+            continue
+        elif tag == "p":
             if n >= 0:
                 raise FormatError("duplicate 'p' line", lineno)
             if len(parts) != 4 or parts[1] != "wpoc":
@@ -220,16 +246,6 @@ def parse_wpoc(text: str) -> WeightedGraph:
             if w < 1:
                 raise FormatError(f"vertex {vid}: weight must be >= 1, got {w}", lineno)
             weights[vid] = w
-        elif tag == "e":
-            u, v = _int_fields(parts, lineno, "e", 2)
-            if u == v:
-                raise FormatError(f"loop at vertex {u}", lineno)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise FormatError(f"edge ({u},{v}) out of range 1..{n}", lineno)
-            e = (u, v) if u < v else (v, u)
-            if e in edges:
-                raise FormatError(f"duplicate edge {{{e[0]},{e[1]}}}", lineno)
-            edges.add(e)
         else:
             raise FormatError(f"unknown line type {tag!r}", lineno)
     if n < 0:
@@ -241,15 +257,14 @@ def parse_wpoc(text: str) -> WeightedGraph:
     if len(edges) != m:
         raise FormatError(f"'p' line declares {m} edges, found {len(edges)}")
     return WeightedGraph(
-        Graph(n, frozenset(edges)),
-        tuple(weights[v] for v in range(1, n + 1)),
+        Graph(n, frozenset(edges)), tuple(map(weights.__getitem__, range(1, n + 1)))
     )
 
 
 def serialize_wpoc(g: WeightedGraph) -> str:
     """Render a WeightedGraph in the canonical WPOC layout (p, v..., e... sorted)."""
     lines = [f"p wpoc {g.n} {g.graph.m}"]
-    lines += [f"v {v} {g.weight(v)}" for v in range(1, g.n + 1)]
+    lines += [f"v {v} {w}" for v, w in enumerate(g.weights, start=1)]
     lines += [f"e {u} {v}" for u, v in g.graph.sorted_edges()]
     return "\n".join(lines) + "\n"
 
@@ -291,7 +306,7 @@ def parse_coloring(text: str, n: int) -> Coloring:
 
 def serialize_coloring(c: Coloring) -> str:
     lines = [f"palette {c.palette}"]
-    lines += [f"c {v} {c.color(v)}" for v in range(1, len(c.colors) + 1)]
+    lines += [f"c {v} {color}" for v, color in enumerate(c.colors, start=1)]
     return "\n".join(lines) + "\n"
 
 

@@ -18,35 +18,43 @@ orientation whose longest directed path is at most the palette.
 from __future__ import annotations
 
 import graphlib
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import oracles
 from .graph_core import Coloring, Graph, Orientation, WeightedGraph, normalize_weights
 
 
-def first_violation(g: WeightedGraph, c: Coloring) -> tuple[int, int] | None:
-    """First edge (in sorted order) breaking the POC conditions, or None."""
+def _violations(g: WeightedGraph, c: Coloring) -> Iterator[tuple[int, int]]:
+    """The edges breaking the POC conditions, in no particular order."""
     if len(c.colors) != g.n:
         raise ValueError(f"coloring has {len(c.colors)} entries, graph has {g.n}")
-    for u, v in g.graph.sorted_edges():
-        wu, wv = g.weight(u), g.weight(v)
-        cu, cv = c.color(u), c.color(v)
-        if wu > wv and not cu > cv:
-            return (u, v)
-        if wv > wu and not cv > cu:
-            return (u, v)
-        if wu == wv and cu == cv:
-            return (u, v)
-    return None
+    w = (0, *g.weights)
+    col = (0, *c.colors)
+    # the heavier end needs the larger color, equal weights different colors
+    return (
+        (u, v)
+        for u, v in g.graph.edges
+        if (
+            col[u] <= col[v] if w[u] > w[v]
+            else col[u] >= col[v] if w[u] < w[v]
+            else col[u] == col[v]
+        )
+    )
+
+
+def first_violation(g: WeightedGraph, c: Coloring) -> tuple[int, int] | None:
+    """First edge (in sorted order) breaking the POC conditions, or None."""
+    return min(_violations(g, c), default=None)
 
 
 def is_valid_poc(g: WeightedGraph, c: Coloring) -> bool:
-    return first_violation(g, c) is None
+    return next(_violations(g, c), None) is None
 
 
 def _weight_order(g: WeightedGraph) -> list[int]:
     """Vertices in non-decreasing weight order, equal weights by ascending id."""
-    return sorted(range(1, g.n + 1), key=lambda v: (g.weight(v), v))
+    # the sort is stable, so equal weights keep the ascending ids of the range
+    return sorted(range(1, g.n + 1), key=(0, *g.weights).__getitem__)
 
 
 def _greedy_colors(order: list[int], neighbors: Sequence[Iterable[int]]) -> tuple[int, ...]:
@@ -55,8 +63,11 @@ def _greedy_colors(order: list[int], neighbors: Sequence[Iterable[int]]) -> tupl
     colored ``neighbors[v]``, or 1 if there are none."""
     colors = [0] * (len(order) + 1)
     for v in order:
-        prev = [colors[u] for u in neighbors[v] if colors[u]]
-        colors[v] = max(prev) + 1 if prev else 1
+        top = 0  # uncolored neighbors read 0, below every color
+        for u in neighbors[v]:
+            if colors[u] > top:
+                top = colors[u]
+        colors[v] = top + 1
     return tuple(colors[1:])
 
 
@@ -111,16 +122,11 @@ def layered_stack_coloring(g: WeightedGraph) -> Coloring:
 def build_good_orientation(g: WeightedGraph) -> Orientation:
     """Canonical good acyclic orientation: heavier -> lighter across weights,
     lower id -> higher id inside a weight class."""
-    arcs = set()
-    for u, v in g.graph.edges:  # u < v by normalization
-        wu, wv = g.weight(u), g.weight(v)
-        if wu > wv:
-            arcs.add((u, v))
-        elif wv > wu:
-            arcs.add((v, u))
-        else:
-            arcs.add((u, v))
-    return Orientation(g.graph, frozenset(arcs))
+    w = (0, *g.weights)
+    # u < v by normalization, so (u, v) is also the in-class arc
+    return Orientation(
+        g.graph, frozenset([(v, u) if w[v] > w[u] else (u, v) for u, v in g.graph.edges])
+    )
 
 
 def _heads_first(d: Orientation) -> list[int]:
@@ -145,17 +151,22 @@ def _heads_first(d: Orientation) -> list[int]:
     return order
 
 
-def is_good_acyclic(g: WeightedGraph, d: Orientation) -> bool:
-    """True iff d has no directed cycle and w(tail) >= w(head) on every arc."""
+def _good_heads_first(g: WeightedGraph, d: Orientation) -> list[int] | None:
+    """``_heads_first(d)`` when d is a good acyclic orientation of g, else None."""
     if d.graph != g.graph:
         raise ValueError("orientation does not match the graph")
-    if any(g.weight(t) < g.weight(h) for t, h in d.arcs):
-        return False
+    w = (0, *g.weights)
+    if any(w[t] < w[h] for t, h in d.arcs):
+        return None
     try:
-        _heads_first(d)
+        return _heads_first(d)
     except graphlib.CycleError:
-        return False
-    return True
+        return None
+
+
+def is_good_acyclic(g: WeightedGraph, d: Orientation) -> bool:
+    """True iff d has no directed cycle and w(tail) >= w(head) on every arc."""
+    return _good_heads_first(g, d) is not None
 
 
 def dag_longest_path(d: Orientation) -> int:
@@ -177,9 +188,10 @@ def greedy_poc_from_orientation(g: WeightedGraph, d: Orientation) -> Coloring:
 
     Raises ValueError when d is not a good acyclic orientation of g.
     """
-    if not is_good_acyclic(g, d):
+    order = _good_heads_first(g, d)
+    if order is None:
         raise ValueError("orientation is not good acyclic for this weighting")
-    body = _greedy_colors(_heads_first(d), d.out_neighbors)
+    body = _greedy_colors(order, d.out_neighbors)
     return Coloring(body, max(body))
 
 
@@ -192,10 +204,8 @@ def orientation_from_coloring(g: WeightedGraph, c: Coloring) -> Orientation:
     violation = first_violation(g, c)
     if violation is not None:
         raise ValueError(f"coloring is not a valid POC (edge {violation})")
-    arcs = set()
-    for u, v in g.graph.edges:
-        if c.color(u) > c.color(v):
-            arcs.add((u, v))
-        else:  # colors differ on every edge of a POC
-            arcs.add((v, u))
-    return Orientation(g.graph, frozenset(arcs))
+    col = (0, *c.colors)
+    # colors differ on every edge of a POC
+    return Orientation(
+        g.graph, frozenset([(u, v) if col[u] > col[v] else (v, u) for u, v in g.graph.edges])
+    )

@@ -6,8 +6,10 @@ import tracemalloc
 import pytest
 
 from pocgraph import (
+    Coloring,
     FormatError,
     Graph,
+    Orientation,
     WeightedGraph,
     complement,
     complete_graph,
@@ -17,6 +19,7 @@ from pocgraph import (
     parse_coloring,
     parse_orientation,
     parse_wpoc,
+    path_graph,
     random_weighted_graph,
     serialize_coloring,
     serialize_orientation,
@@ -47,6 +50,10 @@ def test_parse_accepts_comments_and_blank_lines():
     text = "# hello\n\np wpoc 2 1\n# mid\nv 1 1\nv 2 2\ne 1 2\n"
     g = parse_wpoc(text)
     assert g.n == 2 and g.graph.m == 1
+    text = "  # indented\np\twpoc 3 2\n\tv 1 4\nv\t2  5\nv 3 6\t\n e\t3 1\ne 2 3\n\t# tab\n"
+    g = parse_wpoc(text)
+    assert g.weights == (4, 5, 6)
+    assert g.graph.edges == frozenset({(1, 3), (2, 3)})
 
 
 @pytest.mark.parametrize(
@@ -62,6 +69,17 @@ def test_parse_accepts_comments_and_blank_lines():
         ("v 1 1\n", "first non-comment", 1),
         ("p wpoc 2 1\np wpoc 2 1\n", "duplicate 'p'", 2),
         ("p wpoc 2 1\nv 1 1\nv 2 1\nq 1 2\n", "unknown line", 4),
+        ("p wpoc 2 1\nv 1 1\nv 2 1\ne 1\n", "'e' line needs 2 integer fields, got 1", 4),
+        ("p wpoc 2 1\nv 1 1\nv 2 1\ne 1 2 1\n", "'e' line needs 2 integer fields, got 3", 4),
+        ("p wpoc 2 1\nv 1 1\nv 2 1\ne\n", "'e' line needs 2 integer fields, got 0", 4),
+        ("p wpoc 2 1\nv 1 1\nv 2 1\ne 1 x\n", "non-integer field in 'e' line", 4),
+        ("p wpoc 2 1\nv 1 1\nv 2 1\ne 9 x y\n", "'e' line needs 2 integer fields, got 3", 4),
+        ("p wpoc 2 1\nv 1 1\nv 2 1\ne 9 x\n", "non-integer field in 'e' line", 4),
+        ("p wpoc 2 1\nv 1 1\nv 2 1\ne 1.0 2\n", "non-integer field in 'e' line", 4),
+        ("# c\ne 1 2\np wpoc 2 1\n", "first non-comment line must be 'p wpoc", 2),
+        ("p wpoc 2 1\nv 1 1\nv 2 1\ne 5 5\n", "loop at vertex 5", 4),
+        ("p wpoc 2 1\nv 1 1\nv 2 1\ne 0 1\n", "edge (0,1) out of range 1..2", 4),
+        ("p wpoc 2 1\nv 1 1\nv 2 1\ne 2 1\ne 1 2\n", "duplicate edge {1,2}", 5),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment, line):
@@ -142,6 +160,35 @@ def test_graph_rejects_loops_and_duplicates():
         Graph.from_edges(2, [(1, 3)])
 
 
+def test_constructor_messages_name_the_same_fault_among_several():
+    """With more than one fault, the message names the first faulty item in
+    the order the constructor reads its input."""
+    out_of_range = "edge ({},{}) not normalized or out of range 1..3"
+    cases = [
+        (lambda: Graph(3, frozenset({(2, 2), (1, 5)})), out_of_range.format(1, 5)),
+        (lambda: Graph(3, frozenset({(1, 5), (2, 2), (3, 1)})), out_of_range.format(3, 1)),
+        (lambda: Graph(4, frozenset({(1, 2), (4, 4), (0, 3)})), "loop at vertex 4"),
+        (lambda: WeightedGraph(path_graph(3), (1, 0, -3)), "vertex 2: weight must be >= 1, got 0"),
+        (lambda: Coloring((1, 5, 0), 3), "vertex 2: color 5 outside palette 1..3"),
+        (lambda: Coloring((1, 5, 0), -1), "palette must be >= 0, got -1"),
+    ]
+    p4 = path_graph(4)
+    for arcs, message in (
+        # not an edge, oriented twice, and {2,3}, {3,4} without an arc
+        ({(1, 3), (1, 2), (2, 1)}, "arc (1,3) is not an edge of the underlying graph"),
+        ({(1, 4), (1, 2), (2, 1)}, "edge {1,2} oriented twice"),
+        ({(1, 3), (2, 3), (3, 2)}, "edge {2,3} oriented twice"),
+        ({(1, 2), (2, 1), (3, 4)}, "edge {1,2} oriented twice"),
+        ({(4, 1), (2, 3)}, "arc (4,1) is not an edge of the underlying graph"),
+        ({(2, 1)}, "edge {2,3} has no orientation"),
+    ):
+        cases.append((lambda arcs=arcs: Orientation(p4, frozenset(arcs)), message))
+    for build, message in cases:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
 def test_weighted_graph_validation():
     g = Graph.from_edges(2, [(1, 2)])
     with pytest.raises(ValueError, match="weight"):
@@ -160,8 +207,6 @@ def test_weighted_graph_validation():
     [((1, 5, 9), (1, 2, 3)), ((2, 2, 7), (1, 1, 2)), ((1, 2, 3), (1, 2, 3))],
 )
 def test_normalize_weights_examples(weights, expected):
-    from pocgraph import path_graph
-
     g = WeightedGraph(path_graph(3), weights)
     assert normalize_weights(g).weights == expected
 

@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import random
+from pathlib import Path
 from typing import Iterator
 
 import pytest
@@ -1054,6 +1055,67 @@ def test_oracles_import_nothing_but_graph_core():
     assert _package_imports(multipartite_mod)["oracles"] <= {
         "DEFAULT_CAPS", "CapExceeded", "OracleCaps", "proper_coloring_exact"
     }
+
+
+def _package_sources() -> dict[str, ast.Module]:
+    package = Path(poc_engine_mod.__file__).parent
+    return {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
+def test_validity_never_runs_the_greedy(monkeypatch):
+    """is_valid_poc certifies the greedy, so it must not reuse its loop."""
+    rng = random.Random(25)
+    cases = []
+    for _ in range(200):
+        g = random_weighted_graph(rng, rng.randint(2, 12), rng.random(), rng.randint(1, 4))
+        cases.append((g, poc_engine_mod.greedy_poc(g)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validity ran the greedy's code")
+
+    for name in ("_greedy_colors", "_weight_order"):
+        monkeypatch.setattr(poc_engine_mod, name, forbidden)
+    with pytest.raises(AssertionError, match="greedy's code"):
+        poc_engine_mod.greedy_poc(cases[0][0])
+    rejected = 0
+    for g, coloring in cases:
+        assert is_valid_poc(g, coloring)
+        flat = Coloring((1,) * g.n, 1)
+        assert is_valid_poc(g, flat) == (g.graph.m == 0)
+        rejected += g.graph.m > 0
+    assert rejected >= 150
+
+
+def test_no_module_imports_gc():
+    for name, tree in _package_sources().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert "gc" not in {a.name for a in node.names}, name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "gc", name
+
+
+def test_only_the_cli_reads_the_environment_and_only_poc_caps():
+    keys = []
+    for name, tree in _package_sources().items():
+        uses = keyed = 0
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                assert not {a.name for a in node.names} & {"environ", "getenv"}, name
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                uses += 1
+            # os.environ.get("KEY", ...) and os.environ["KEY"]
+            target = None
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "get" and node.args:
+                    target, key = node.func.value, node.args[0]
+            elif isinstance(node, ast.Subscript):
+                target, key = node.value, node.slice
+            if isinstance(target, ast.Attribute) and target.attr == "environ":
+                keyed += 1
+                keys.append((name, getattr(key, "value", None)))
+        assert uses == keyed, f"{name} reads the environment other than by a named key"
+    assert keys == [("cli.py", "POC_CAPS")]
 
 
 def test_sweeps_never_consult_longest_paths(monkeypatch):

@@ -20,8 +20,10 @@ from pocgraph import (
     layered_stack_coloring,
     normalize_weights,
     orientation_from_coloring,
+    parse_wpoc,
     path_graph,
     random_weighted_graph,
+    serialize_wpoc,
 )
 from pocgraph.oracles import longest_path_exact
 
@@ -65,6 +67,46 @@ def test_chem_reference_coloring_is_valid(chem):
 def test_length_mismatch_raises(c4w):
     with pytest.raises(ValueError, match="entries"):
         is_valid_poc(c4w, Coloring((1, 2, 3), 3))
+
+
+def _breaks(g: WeightedGraph, c: Coloring, u: int, v: int) -> bool:
+    wu, wv = g.weights[u - 1], g.weights[v - 1]
+    cu, cv = c.colors[u - 1], c.colors[v - 1]
+    return (wu > wv and cu <= cv) or (wu < wv and cu >= cv) or (wu == wv and cu == cv)
+
+
+def test_first_violation_is_the_least_violating_edge():
+    rng = random.Random(24)
+    several = unsorted_first = 0
+    for _ in range(400):
+        n = rng.randint(2, 30)
+        g = random_weighted_graph(rng, n, rng.random(), rng.randint(1, 4))
+        c = Coloring(tuple(rng.randint(1, 3) for _ in range(n)), 3)
+        expected = None
+        for u, v in g.graph.sorted_edges():
+            if _breaks(g, c, u, v):
+                expected = (u, v)
+                break
+        assert first_violation(g, c) == expected
+        assert is_valid_poc(g, c) == (expected is None)
+        broken = [e for e in g.graph.edges if _breaks(g, c, *e)]
+        several += len(broken) > 1
+        # the unsorted edge set meets some other violating edge first
+        unsorted_first += bool(broken) and broken[0] != expected
+    assert several >= 200 and unsorted_first >= 50, (several, unsorted_first)
+
+
+class _UnreadableEdges(frozenset):
+    def __iter__(self):
+        raise AssertionError("an edge was read")
+
+
+def test_length_mismatch_raises_before_reading_edges(c4w):
+    g = WeightedGraph(Graph(c4w.n, c4w.graph.edges), c4w.weights)
+    object.__setattr__(g.graph, "edges", _UnreadableEdges(c4w.graph.edges))
+    for check in (first_violation, is_valid_poc):
+        with pytest.raises(ValueError, match="coloring has 3 entries, graph has 4"):
+            check(g, Coloring((1, 2, 3), 3))
 
 
 def test_heavier_needs_strictly_larger_color():
@@ -414,6 +456,50 @@ def test_engine_matches_graphlib_reference():
             cyclic = _outcome(dag_longest_path, d)[0] == "raises"
             kinds["cyclic" if cyclic else "good" if good else "bad"] += 1
     assert min(kinds.values()) >= 100, kinds
+
+
+def _noisy_wpoc_text(rng: random.Random, n: int, weights: list[int], edges: list) -> str:
+    """WPOC text for the graph with its lines shuffled, pairs in either order,
+    comments, blank lines, indentation and tabs."""
+    lines = [f"v {v}\t{w}" for v, w in enumerate(weights, start=1)]
+    lines += [f"e {u}\t{v}" if rng.random() < 0.5 else f"  e {v} {u}" for u, v in edges]
+    lines += ["# a comment", "  # an indented comment", "", "\t"]
+    rng.shuffle(lines)
+    return f"# header\np wpoc {n} {len(edges)}\n" + "\n".join(lines) + "\n"
+
+
+def _reference_good_arcs(weights: list[int], edges: list) -> frozenset:
+    """Heavier end to lighter end; lower id to higher id between equal weights."""
+    return frozenset(
+        (u, v) if (weights[u - 1], -u) > (weights[v - 1], -v) else (v, u) for u, v in edges
+    )
+
+
+def test_linear_layer_matches_references_on_large_graphs():
+    """The parser, serializer, greedy, canonical orientation, oriented greedy
+    and longest dipath give the references' bytes and values on G(n, p)."""
+    rng = random.Random(23)
+    for n in (200, 300, 400):
+        for t in (2, 7, n):
+            edges = [
+                (u, v)
+                for u in range(1, n + 1)
+                for v in range(u + 1, n + 1)
+                if rng.random() < 10 / (n - 1)
+            ]
+            values = rng.sample(range(1, 10**9), t)
+            weights = [values[i % t] for i in range(n)]
+            rng.shuffle(weights)
+            g = parse_wpoc(_noisy_wpoc_text(rng, n, weights, edges))
+            canonical = f"p wpoc {n} {len(edges)}\n"
+            canonical += "".join(f"v {v} {w}\n" for v, w in enumerate(weights, start=1))
+            canonical += "".join(f"e {u} {v}\n" for u, v in sorted(edges))
+            assert serialize_wpoc(g) == canonical
+            assert greedy_poc(g) == _old_greedy_poc(g)
+            d = build_good_orientation(g)
+            assert d.arcs == _reference_good_arcs(weights, edges)
+            assert greedy_poc_from_orientation(g, d) == _old_greedy_poc_from_orientation(g, d)
+            assert dag_longest_path(d) == _old_dag_longest_path(d)
 
 
 # ---------------------------------------------------------------------------
