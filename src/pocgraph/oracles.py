@@ -22,9 +22,12 @@ No saving consults a longest path, so f stays independent of ell(G).
 class, since every other edge is forced heavier -> lighter. It takes the
 classes from lightest to heaviest and computes vertex heights as it goes.
 A finished class's heights are final, so a partial choice whose heights
-already reach the best value found is pruned. Options are visited in a fixed
-order, and the witness is the first orientation in that order that attains
-the minimum.
+already reach the best value found is pruned, and the search stops at a
+floor every orientation reaches: the forced arcs' longest path, or a clique
+inside one class, which any acyclic orientation puts on one directed path.
+Options are visited in a fixed order, each turned into the order the search
+reads only when first visited, and the witness is the first orientation in
+that order that attains the minimum.
 
 Every search respects a cap from :class:`OracleCaps`; exceeding a cap raises
 :class:`CapExceeded` instead of silently approximating.
@@ -404,7 +407,10 @@ def chi_poc_exact(
 # ell' by class-by-class heights over good acyclic orientations
 # ---------------------------------------------------------------------------
 
-# One acyclic orientation of an equal-weight class: a heads-first order of
+# One acyclic orientation of an equal-weight class as ``_class_options``
+# lists it: its reachability and its arcs, each one int of m rows of m bits.
+_ClassOrientation = tuple[int, int]
+# The same orientation as the search reads it: a heads-first order of
 # ``(vertex, in-class heads)`` pairs, which lists every intra arc once.
 _ClassOption = tuple[tuple[int, tuple[int, ...]], ...]
 
@@ -414,7 +420,7 @@ def _class_options(
     intra: list[tuple[int, int]],
     before: int,
     caps: OracleCaps,
-) -> list[_ClassOption]:
+) -> list[_ClassOrientation]:
     """Every acyclic orientation of one equal-weight class, in search order.
 
     The intra edges are decided one at a time, (u, v) before (v, u), and each
@@ -427,9 +433,9 @@ def _class_options(
     A partial orientation carries its reachability as one int of m rows of m
     bits, row x holding the members that x reaches (x included), and its arcs
     as a second int of the same shape. An arc whose head already reaches its
-    tail would close a cycle and is never added. A head reaches strictly
-    fewer members than its tail, so sorting members by that count puts heads
-    first.
+    tail would close a cycle and is never added. The options are these
+    (reach, arcs) pairs; ``_option_order`` turns one into the heads-first
+    order that the search reads.
 
     The cap ``ell_prime_orientations`` bounds ``before``, the product of the
     earlier classes' option counts, times this class's count. A class of m
@@ -482,22 +488,86 @@ def _class_options(
             raise CapExceeded(
                 "ell_prime_orientations", caps.ell_prime_orientations, len(partial) * before
             )
-    interned: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    options = []
-    for reach, arcs in partial:
-        counts = [(reach >> s & row).bit_count() for s in shifts]
-        order = []
-        for x in sorted(range(m), key=counts.__getitem__):
-            heads = arcs >> shifts[x] & row
-            pair = interned.get((x, heads))
-            if pair is None:
-                pair = interned[x, heads] = (
-                    members[x],
-                    tuple(members[y] for y in range(m) if heads >> y & 1),
-                )
-            order.append(pair)
-        options.append(tuple(order))
-    return options
+    return partial
+
+
+def _option_order(
+    members: list[int],
+    option: _ClassOrientation,
+    interned: dict[tuple[int, int], tuple[int, tuple[int, ...]]],
+) -> _ClassOption:
+    """One ``_class_options`` option of the class ``members`` as a heads-first
+    order: a head reaches strictly fewer members than its tail, so sorting
+    members by that count puts heads first. ``interned`` shares equal
+    ``(vertex, heads)`` pairs between the options of one class."""
+    reach, arcs = option
+    m = len(members)
+    row = (1 << m) - 1
+    shifts = [x * m for x in range(m)]
+    counts = [(reach >> s & row).bit_count() for s in shifts]
+    order = []
+    for x in sorted(range(m), key=counts.__getitem__):
+        heads = arcs >> shifts[x] & row
+        pair = interned.get((x, heads))
+        if pair is None:
+            pair = interned[x, heads] = (
+                members[x],
+                tuple(members[y] for y in range(m) if heads >> y & 1),
+            )
+        order.append(pair)
+    return tuple(order)
+
+
+def _class_clique_floor(
+    members: list[int], intra: list[tuple[int, int]], height: Sequence[int]
+) -> int:
+    """A lower bound on the top height of one equal-weight class in every good
+    acyclic orientation, from its maximal cliques.
+
+    An acyclic orientation makes a clique K a transitive tournament, so K
+    lies on one directed path, each member at least one above the next. With
+    b the forced-arc-only heights ``height`` of K's members in ascending
+    order, the member at rank j from the bottom of that path has height at
+    least b_j' + |K| - 1 - j for whichever b_j' sits there, and the least
+    that maximum can be, over all orders, is max_j (b_j + |K| - 1 - j): an
+    exchange argument puts the larger forced heights higher. A clique's
+    bound is at least any sub-clique's, so the maximal cliques suffice; they
+    are found by Bron-Kerbosch with pivoting (Tomita, Tanaka and Takahashi,
+    2006) over the class's intra edges.
+    """
+    index = {x: i for i, x in enumerate(members)}
+    near = [0] * len(members)
+    for u, v in intra:
+        near[index[u]] |= 1 << index[v]
+        near[index[v]] |= 1 << index[u]
+    bound = 0
+
+    def expand(clique: list[int], some: int, done: int) -> None:
+        nonlocal bound
+        if not some:
+            if not done:  # clique is maximal
+                b = sorted(height[members[x]] for x in clique)
+                top = len(b) - 1
+                bound = max(bound, max(h + top - j for j, h in enumerate(b)))
+            return
+        rest, pivot_near = some | done, 0
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            cover = near[bit.bit_length() - 1]
+            if (some & cover).bit_count() > (some & pivot_near).bit_count():
+                pivot_near = cover
+        scan = some & ~pivot_near
+        while scan:
+            bit = scan & -scan
+            scan ^= bit
+            x = bit.bit_length() - 1
+            expand(clique + [x], some & near[x], done & near[x])
+            some ^= bit
+            done |= bit
+
+    expand([], (1 << len(members)) - 1, 0)
+    return bound
 
 
 def ell_prime_orientation(
@@ -517,14 +587,28 @@ def ell_prime_orientation(
     its out-neighbours, which are lighter or in its own class. The heights
     of a finished class never change, so a choice whose running maximum
     already reaches the best value found is pruned with everything below it.
-    The search stops at the longest path of the forced arcs alone, which
-    every candidate contains.
+
+    The search stops at a floor that every candidate reaches. Every
+    candidate contains the forced arcs, so it reaches their longest path.
+    It also reaches each class's clique bound (``_class_clique_floor``): an
+    acyclic orientation makes a clique K inside one class a transitive
+    tournament, so K lies on one directed path, and with b the forced-arc
+    heights of K's members in ascending order its top has height at least
+    max_j (b_j + |K| - 1 - j). The floor is the largest of these. A class's
+    bound is computed only once ``_class_options`` has accepted the class,
+    so the cap bounds that work too.
+
+    Every option of a class is listed, since the cap counts them, but an
+    option becomes a heads-first order (``_option_order``) only the first
+    time the search visits it; later visits from other choices of the
+    lighter classes reuse that order.
 
     Witness contract: candidates are visited in ``itertools.product`` order
     over the classes by ascending weight, each class's options in the order
     of ``_class_options``, and the witness is the first candidate that
     attains the minimum. Pruning never skips a candidate that beats the best
-    so far, so the witness does not depend on the pruning.
+    so far, and the floor is at most the minimum, so the search stops at
+    that first minimal candidate or later: the witness depends on neither.
 
     The cap ``ell_prime_orientations`` bounds the candidates, the product of
     the classes' option counts, as they are listed (see ``_class_options``).
@@ -554,8 +638,10 @@ def ell_prime_orientation(
     floor = max(height)
 
     # A stage: the vertices without intra edges up to and including one
-    # class's weight, that class's members, and its options. A last stage
-    # with a single empty option holds the vertices above the heaviest class.
+    # class's weight, that class's members, its options, their orders (each
+    # None until first visited) and the pairs those orders share. A last
+    # stage with a single empty order holds the vertices above the heaviest
+    # class.
     stages = []
     placed = 0
     product = 1  # candidates so far: the product of the classes' option counts
@@ -565,16 +651,13 @@ def ell_prime_orientation(
         while upto < n and w[by_weight[upto] - 1] <= c:
             upto += 1
         options = _class_options(members, intra, product, caps)
+        floor = max(floor, _class_clique_floor(members, intra, height))
         fixed = [v for v in by_weight[placed:upto] if v not in members]
         product *= len(options)
-        stages.append((
-            [(v, lighter[v]) for v in fixed],
-            [(v, lighter[v]) for v in members],
-            options,
-        ))
+        stages.append(([(v, lighter[v]) for v in fixed], members, options, [None] * len(options), {}))
         placed = upto
     if placed < n:
-        stages.append(([(v, lighter[v]) for v in by_weight[placed:]], [], [()]))
+        stages.append(([(v, lighter[v]) for v in by_weight[placed:]], [], [], [()], {}))
 
     best = n + 1  # above every candidate's value
     best_choice: list[_ClassOption] = []
@@ -584,14 +667,16 @@ def ell_prime_orientation(
     def search(s: int, reached: int) -> bool:
         """Extend the choices below stage s; True once the floor is attained."""
         nonlocal best, best_choice
-        fixed, members, options = stages[s]
+        fixed, members, options, orders, interned = stages[s]
         for v, heads in fixed:
             height[v] = 1 + max((height[x] for x in heads), default=0)
             reached = max(reached, height[v])
         if reached >= best:
             return False
-        base = {v: 1 + max((height[x] for x in heads), default=0) for v, heads in members}
-        for order in options:
+        base = {v: 1 + max((height[x] for x in lighter[v]), default=0) for v in members}
+        for i, order in enumerate(orders):
+            if order is None:
+                order = orders[i] = _option_order(members, options[i], interned)
             top = reached
             for v, heads in order:
                 h = base[v]
@@ -615,6 +700,9 @@ def ell_prime_orientation(
         return False
 
     search(0, 0)
+    # search reaches itself through its closure; dropping the name frees the
+    # stages' options now, not at the next cyclic collection
+    del search
     arcs = set(forced)
     arcs.update((v, h) for order in best_choice for v, heads in order for h in heads)
     return best, Orientation(gn.graph, frozenset(arcs))

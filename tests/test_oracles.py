@@ -312,7 +312,10 @@ def _stanley_count(k: int, edges) -> int:
 def _class_enumerator_problem(edges) -> str | None:
     members = sorted({x for e in edges for x in e})
     intra = sorted(edges)
-    options = oracles_mod._class_options(members, intra, 1, DEFAULT_CAPS)
+    listed = oracles_mod._class_options(members, intra, 1, DEFAULT_CAPS)
+    interned: dict = {}
+    # decoded as the search decodes them
+    options = [oracles_mod._option_order(members, option, interned) for option in listed]
     expected = _stanley_count(len(members), intra)
     if len(options) != expected:
         return f"{len(options)} orientations, |P_G(-1)| = {expected}"
@@ -342,44 +345,81 @@ def test_class_enumerator_counts_acyclic_orientations():
         assert _class_enumerator_problem(edges) is None, (n, edges)
 
 
-def _reference_ell_prime(g: WeightedGraph) -> tuple[int, frozenset, bool]:
+def _reference_heights(n: int, arcs) -> dict[int, int] | None:
+    """Each vertex's height (vertices on a longest directed path starting
+    there) by depth-first search, or None if the arcs close a cycle."""
+    out = {v: [] for v in range(1, n + 1)}
+    for t, h in arcs:
+        out[t].append(h)
+    height, busy = {}, set()
+
+    def visit(v):
+        if v in busy:
+            raise ValueError("cycle")
+        if v not in height:
+            busy.add(v)
+            height[v] = 1 + max((visit(x) for x in out[v]), default=0)
+            busy.discard(v)
+        return height[v]
+
+    try:
+        for v in out:
+            visit(v)
+    except ValueError:
+        return None
+    return height
+
+
+def _reference_classes(g: WeightedGraph):
+    """The forced arcs, and each equal-weight class's intra edges by ascending
+    weight."""
+    forced, intra = [], {}
+    for u, v in g.graph.sorted_edges():
+        wu, wv = g.weight(u), g.weight(v)
+        if wu == wv:
+            intra.setdefault(wu, []).append((u, v))
+        else:
+            forced.append((u, v) if wu > wv else (v, u))
+    return forced, [edges for _, edges in sorted(intra.items())]
+
+
+def _reference_clique_floors(g: WeightedGraph) -> list[int]:
+    """Each class's clique bound, from every clique of its members taken by
+    brute force: the best order of a clique's forced-arc heights b along one
+    directed path, min over permutations of max_j (b_j + |K| - 1 - j)."""
+    forced, classes = _reference_classes(g)
+    height = _reference_heights(g.n, forced)
+    floors = []
+    for edges in classes:
+        members = sorted({x for e in edges for x in e})
+        bound = 0
+        for size in range(1, len(members) + 1):
+            for clique in itertools.combinations(members, size):
+                if all(pair in edges for pair in itertools.combinations(clique, 2)):
+                    b = [height[x] for x in clique]
+                    bound = max(bound, min(
+                        max(h + size - 1 - j for j, h in enumerate(perm))
+                        for perm in itertools.permutations(b)
+                    ))
+        floors.append(bound)
+    return floors
+
+
+def _reference_ell_prime(g: WeightedGraph) -> dict:
     """ell' by the plain search that fixes the witness order: every orientation
     of each class in bit order (bit i flips intra edge i), the acyclic ones kept
     and sorted by arc tuple when 2^k > m!; the product over the classes by
-    ascending weight; a longest-path DP per candidate; the first strict minimum,
-    stopping at the longest path of the forced arcs. Also returns whether the
-    search stopped there before the end of the product."""
-    rank = {x: i for i, x in enumerate(sorted(set(g.weights)))}
-    w = [rank[x] for x in g.weights]
-    forced, intra = [], {}
-    for u, v in g.graph.sorted_edges():
-        if w[u - 1] == w[v - 1]:
-            intra.setdefault(w[u - 1], []).append((u, v))
-        else:
-            forced.append((u, v) if w[u - 1] > w[v - 1] else (v, u))
+    ascending weight; a longest-path DP per candidate; the first strict minimum.
+    Also returns the forced arcs' longest path, the largest class clique bound
+    and whether the first minimum comes before the end of the product."""
+    forced, classes = _reference_classes(g)
 
     def longest(arcs) -> int | None:
-        out = {v: [] for v in range(1, g.n + 1)}
-        for t, h in arcs:
-            out[t].append(h)
-        height, busy = {}, set()
-
-        def visit(v):
-            if v in busy:
-                raise ValueError("cycle")
-            if v not in height:
-                busy.add(v)
-                height[v] = 1 + max((visit(x) for x in out[v]), default=0)
-                busy.discard(v)
-            return height[v]
-
-        try:
-            return max(visit(v) for v in out)
-        except ValueError:
-            return None
+        height = _reference_heights(g.n, arcs)
+        return None if height is None else max(height.values())
 
     options = []
-    for _, edges in sorted(intra.items()):
+    for edges in classes:
         members = {x for e in edges for x in e}
         found = []
         for bits in range(1 << len(edges)):
@@ -389,17 +429,20 @@ def _reference_ell_prime(g: WeightedGraph) -> tuple[int, frozenset, bool]:
         if 2 ** len(edges) > math.factorial(len(members)):
             found.sort()
         options.append(found)
-    floor = longest(forced)
     combos = list(itertools.product(*options))
     best = None
     for i, combo in enumerate(combos):
         arcs = set(forced).union(*combo)
         value = longest(arcs)
         if best is None or value < best[0]:
-            best = (value, frozenset(arcs))
-            if value == floor:
-                return value, best[1], i + 1 < len(combos)
-    return best[0], best[1], False
+            best = (value, frozenset(arcs), i)
+    return {
+        "value": best[0],
+        "arcs": best[1],
+        "forced_floor": longest(forced),
+        "clique_floor": max(_reference_clique_floors(g), default=0),
+        "early": best[2] + 1 < len(combos),
+    }
 
 
 def test_ell_prime_witness_matches_reference_search():
@@ -413,9 +456,9 @@ def test_ell_prime_witness_matches_reference_search():
         cases.append(random_weighted_graph(rng, n, rng.uniform(0.3, 0.7), rng.randint(2, 3)))
     kinds = set()
     for g in cases:
-        value, arcs, stopped_early = _reference_ell_prime(g)
+        ref = _reference_ell_prime(g)
         got, witness = ell_prime_orientation(g)
-        assert (got, witness.arcs) == (value, arcs), g
+        assert (got, witness.arcs) == (ref["value"], ref["arcs"]), g
         members = {x for u, v in g.graph.edges if g.weight(u) == g.weight(v) for x in (u, v)}
         classes = {g.weight(v) for v in members}
         intra = sum(g.weight(u) == g.weight(v) for u, v in g.graph.edges)
@@ -423,9 +466,64 @@ def test_ell_prime_witness_matches_reference_search():
             kinds.add("dense all-equal class")
         if len(classes) >= 2:
             kinds.add("several classes")
-        if stopped_early:
+        if ref["early"] and ref["value"] == ref["forced_floor"]:
             kinds.add("stopped at the floor")
-    assert kinds == {"dense all-equal class", "several classes", "stopped at the floor"}
+        if ref["early"] and ref["value"] == ref["clique_floor"] > ref["forced_floor"]:
+            kinds.add("stopped at the class-clique floor above the forced floor")
+    assert kinds == {
+        "dense all-equal class",
+        "several classes",
+        "stopped at the floor",
+        "stopped at the class-clique floor above the forced floor",
+    }
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record each return value of an oracles helper, still returning it."""
+    real = getattr(oracles_mod, name)
+    seen = []
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(oracles_mod, name, spy)
+    return seen
+
+
+def test_class_clique_floor_is_sound_and_matches_every_clique(monkeypatch):
+    """On every weighted graph with n <= 4, each class's bound is the brute-force
+    best over all its cliques, and no bound passes ell'."""
+    floors = _spy(monkeypatch, "_class_clique_floor")
+    above_forced = attained = 0
+    for n in range(1, 5):
+        for g in enumerate_graphs(n):
+            for weights in weak_orderings(n):
+                wg = WeightedGraph(g, weights)
+                floors.clear()
+                value = ell_prime_exact(wg)
+                assert floors == _reference_clique_floors(wg), wg
+                assert max(floors, default=0) <= value, wg
+                forced, _ = _reference_classes(wg)
+                forced_floor = max(_reference_heights(n, forced).values())
+                if max(floors, default=0) > forced_floor:
+                    above_forced += 1
+                    attained += max(floors) == value
+    assert (above_forced, attained) == (117, 107)
+
+
+def test_ell_prime_converts_only_the_options_it_visits(monkeypatch):
+    # K6 with equal weights has 6! = 720 options; its clique bound is 6, which
+    # the first option attains, so the search stops there
+    g = WeightedGraph(complete_graph(6), (1,) * 6)
+    listed = _spy(monkeypatch, "_class_options")
+    converted = _spy(monkeypatch, "_option_order")
+    value, witness = ell_prime_orientation(g)
+    assert [len(options) for options in listed] == [720]
+    assert len(converted) == 1
+    ref = _reference_ell_prime(g)
+    assert (value, witness.arcs) == (ref["value"], ref["arcs"])
+    assert value == 6
 
 
 # ---------------------------------------------------------------------------
@@ -1084,6 +1182,58 @@ def test_validity_never_runs_the_greedy(monkeypatch):
         assert is_valid_poc(g, flat) == (g.graph.m == 0)
         rejected += g.graph.m > 0
     assert rejected >= 150
+
+
+def _theorem3_sample() -> list[WeightedGraph]:
+    """Seeded instances for the independence guards: several classes with
+    intra edges, and instances whose first minimum comes before the end of
+    the ell' product at the forced floor and at a class-clique floor above it."""
+    rng = random.Random(1976)
+    cases = [random_weighted_graph(rng, rng.randint(2, 6), rng.random(), rng.randint(1, 4))
+             for _ in range(120)]
+    kinds = set()
+    for g in cases:
+        ref = _reference_ell_prime(g)
+        if len({g.weight(u) for u, v in g.graph.edges if g.weight(u) == g.weight(v)}) >= 2:
+            kinds.add("several classes")
+        if ref["early"] and ref["value"] == ref["forced_floor"]:
+            kinds.add("forced floor")
+        if ref["early"] and ref["value"] == ref["clique_floor"] > ref["forced_floor"]:
+            kinds.add("clique floor")
+    assert kinds == {"several classes", "forced floor", "clique floor"}
+    return cases
+
+
+def test_ell_prime_never_runs_the_chi_poc_search(monkeypatch):
+    """Theorem 3 compares ell' with chi_POC, so neither may run the other's code."""
+    cases = [(g, chi_poc_exact(g)[0]) for g in _theorem3_sample()]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ell' ran the chi_POC search's code")
+
+    for name in (
+        "_poc_search", "_greedy_clique", "_dsatur_coloring", "_increasing_chain_bounds",
+        "chromatic_number", "chi_poc_exact",
+    ):
+        monkeypatch.setattr(oracles_mod, name, forbidden)
+    with pytest.raises(AssertionError, match="chi_POC search's code"):
+        oracles_mod.chi_poc_exact(cases[0][0])
+    for g, value in cases:
+        assert ell_prime_exact(g) == value, g
+
+
+def test_chi_poc_never_runs_the_ell_prime_search(monkeypatch):
+    cases = [(g, ell_prime_exact(g)) for g in _theorem3_sample()]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("chi_POC ran the ell' search's code")
+
+    for name in ("_class_options", "_option_order", "_class_clique_floor", "ell_prime_orientation"):
+        monkeypatch.setattr(oracles_mod, name, forbidden)
+    with pytest.raises(AssertionError, match="ell' search's code"):
+        oracles_mod.ell_prime_orientation(cases[0][0])
+    for g, value in cases:
+        assert chi_poc_exact(g)[0] == value, g
 
 
 def test_no_module_imports_gc():
