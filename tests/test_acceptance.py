@@ -32,6 +32,47 @@ SUFFIXES = {
     10: "hamiltonian_corollary",
 }
 
+# The observed string of every row at quick scale and of every criterion row
+# at full scale, so that a family that silently loses instances fails.
+OBSERVED = {
+    ("quick", "c4w-fixture"): "chi_poc=3 pocs@3=1 unique=(1, 2, 2, 3) pocs@2=0",
+    ("quick", "k135-fixture"): "total=8 V(S)=5 q=2 g=5 palette=5 c(z5)=3",
+    ("quick", "chem-fixture"): "reference_valid=True chi_poc=4 ell_prime=4 pocs@3=0",
+    ("quick", "theorem1-f-equals-longest-path"): "f == longest_path on 52 graphs (n <= 5)",
+    ("quick", "theorem3-chi-poc-equals-ell-prime"):
+        "oracles agree on 1034 instances (exhaustive n <= 4 + 150 random)",
+    ("quick", "theorem4-bipartite-formula"):
+        "formula matches brute force; layered coloring within 2m+1",
+    ("quick", "proposition1-mocs-coloring"): "4107 MOCs colorings valid with exact color count",
+    ("quick", "proposition2-h-matches-oracle"): "h == chi_poc_t on 42 (parts, t) instances",
+    ("quick", "theorem2-ratio-and-sharpness"):
+        "ratio bound holds; sharp family attains (k-1)t+1 with V(S)=2t-2",
+    ("quick", "theorem2-constructive"): "completion POC within bound on 792 instances",
+    ("quick", "algorithm-bounds-random"): "all bounds hold on 200 random instances (n <= 10)",
+    ("quick", "hamiltonian-path-corollary"): "corollary holds on 52 graphs (n <= 5)",
+    ("quick", "wpoc-roundtrip"): "parse(serialize(x)) == x on 100 random instances",
+    ("quick", "normalize-weights"): "idempotent and order-preserving on 100 instances",
+    ("quick", "complement-involution"): "involution and edge-count identity on all graphs n <= 5",
+    ("quick", "greedy-poc-exhaustive"): "greedy valid and bounded on 19278 weighted instances",
+    ("quick", "oriented-greedy-all-orientations"):
+        "bound holds for all 81 good acyclic orientations",
+    ("quick", "chi-poc-t-monotone"): "monotone in t with chi at t=1 on all graphs n <= 4",
+    ("full", "c4w-fixture"): "chi_poc=3 pocs@3=1 unique=(1, 2, 2, 3) pocs@2=0",
+    ("full", "k135-fixture"): "total=8 V(S)=5 q=2 g=5 palette=5 c(z5)=3",
+    ("full", "chem-fixture"): "reference_valid=True chi_poc=4 ell_prime=4 pocs@3=0",
+    ("full", "theorem1-f-equals-longest-path"): "f == longest_path on 208 graphs (n <= 6)",
+    ("full", "theorem3-chi-poc-equals-ell-prime"):
+        "oracles agree on 19778 instances (exhaustive n <= 5 + 500 random)",
+    ("full", "theorem4-bipartite-formula"):
+        "formula matches brute force; layered coloring within 2m+1",
+    ("full", "proposition1-mocs-coloring"): "16201 MOCs colorings valid with exact color count",
+    ("full", "proposition2-h-matches-oracle"): "h == chi_poc_t on 48 (parts, t) instances",
+    ("full", "theorem2-ratio-and-sharpness"):
+        "ratio bound holds; sharp family attains (k-1)t+1 with V(S)=2t-2",
+    ("full", "algorithm-bounds-random"): "all bounds hold on 1000 random instances (n <= 10)",
+    ("full", "hamiltonian-path-corollary"): "corollary holds on 208 graphs (n <= 6)",
+}
+
 # One context per scale for the whole module, so that the f values computed
 # for criterion 3 are read again by criterion 10.
 _CONTEXTS = {scale: _Context(scale, DEFAULT_CAPS) for scale in {SCALE, "quick"}}
@@ -52,6 +93,7 @@ def _run(capsys, check: Check) -> None:
             f"({elapsed:.2f}s, scale={ctx.scale}): {observed}"
         )
     assert passed, f"{label}: observed {observed}; expected {expected}"
+    assert observed == OBSERVED[ctx.scale, check.name]
     assert elapsed < check.budget_s, f"{label} took {elapsed:.1f}s (budget {check.budget_s}s)"
 
 
