@@ -149,9 +149,9 @@ def cmd_oracle(args: argparse.Namespace, caps: OracleCaps) -> int:
         if args.witness:
             sys.stdout.write(serialize_coloring(witness))
     elif quantity == "ell":
-        print(f"ell {oracles.longest_path_exact(g.graph, caps)}")
+        path = oracles.longest_path_witness(g.graph, caps)
+        print(f"ell {len(path)}")
         if args.witness:
-            path = oracles.longest_path_witness(g.graph, caps)
             print(f"path {'-'.join(map(str, path))}")
     elif quantity == "ellprime":
         value, witness_d = oracles.ell_prime_orientation(g, caps)

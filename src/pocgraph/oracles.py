@@ -407,11 +407,9 @@ def chi_poc_exact(
 # ell' by class-by-class heights over good acyclic orientations
 # ---------------------------------------------------------------------------
 
-# One acyclic orientation of an equal-weight class as ``_class_options``
-# lists it: its reachability and its arcs, each one int of m rows of m bits.
-_ClassOrientation = tuple[int, int]
-# The same orientation as the search reads it: a heads-first order of
-# ``(vertex, in-class heads)`` pairs, which lists every intra arc once.
+# One acyclic orientation of an equal-weight class as the search reads it: a
+# heads-first order of ``(vertex, in-class heads)`` pairs, which lists every
+# intra arc once.
 _ClassOption = tuple[tuple[int, tuple[int, ...]], ...]
 
 
@@ -420,7 +418,7 @@ def _class_options(
     intra: list[tuple[int, int]],
     before: int,
     caps: OracleCaps,
-) -> list[_ClassOrientation]:
+) -> list[int]:
     """Every acyclic orientation of one equal-weight class, in search order.
 
     The intra edges are decided one at a time, (u, v) before (v, u), and each
@@ -430,12 +428,13 @@ def _class_options(
     first, so its options come in ascending order of the number whose bit i
     is set when intra edge i is reversed.
 
-    A partial orientation carries its reachability as one int of m rows of m
-    bits, row x holding the members that x reaches (x included), and its arcs
-    as a second int of the same shape. An arc whose head already reaches its
-    tail would close a cycle and is never added. The options are these
-    (reach, arcs) pairs; ``_option_order`` turns one into the heads-first
-    order that the search reads.
+    A partial orientation is its reachability, one int of m rows of m bits,
+    row x holding the members that x reaches (x included). An arc whose head
+    already reaches its tail would close a cycle and is never added. The
+    options are these ints: in an acyclic orientation an intra edge {x, y}
+    runs x -> y exactly when x reaches y, so the reachability holds the arcs
+    too, and ``_option_order`` reads them back into the heads-first order
+    that the search reads.
 
     The cap ``ell_prime_orientations`` bounds ``before``, the product of the
     earlier classes' option counts, times this class's count. A class of m
@@ -471,18 +470,18 @@ def _class_options(
     row = (1 << m) - 1
     shifts = [x * m for x in range(m)]
     firsts = sum(1 << s for s in shifts)  # bit 0 of every row
-    partial = [(sum(1 << (s + x) for x, s in enumerate(shifts)), 0)]  # x reaches x
+    partial = [sum(1 << (s + x) for x, s in enumerate(shifts))]  # x reaches x
     dense = 2 ** k > math.factorial(m)
     for i in range(k) if dense else range(k - 1, -1, -1):
         a, b = ends[i]
         longer = []
-        for reach, arcs in partial:
+        for reach in partial:
             for tail, head in ((a, b), (b, a)):
                 if reach >> (shifts[head] + tail) & 1:
                     continue
                 # every row that reaches the tail now reaches all the head reaches
                 gained = (reach >> tail & firsts) * (reach >> shifts[head] & row)
-                longer.append((reach | gained, arcs | 1 << (shifts[tail] + head)))
+                longer.append(reach | gained)
         partial = longer
         if len(partial) * before > caps.ell_prime_orientations:
             raise CapExceeded(
@@ -493,21 +492,22 @@ def _class_options(
 
 def _option_order(
     members: list[int],
-    option: _ClassOrientation,
+    reach: int,
+    near: list[int],
     interned: dict[tuple[int, int], tuple[int, tuple[int, ...]]],
 ) -> _ClassOption:
     """One ``_class_options`` option of the class ``members`` as a heads-first
-    order: a head reaches strictly fewer members than its tail, so sorting
-    members by that count puts heads first. ``interned`` shares equal
+    order. ``near[x]`` holds x's intra neighbours, so x's heads are the ones
+    it reaches; a head reaches strictly fewer members than its tail, so
+    sorting members by that count puts heads first. ``interned`` shares equal
     ``(vertex, heads)`` pairs between the options of one class."""
-    reach, arcs = option
     m = len(members)
     row = (1 << m) - 1
-    shifts = [x * m for x in range(m)]
-    counts = [(reach >> s & row).bit_count() for s in shifts]
+    rows = [reach >> (x * m) & row for x in range(m)]
+    counts = [r.bit_count() for r in rows]
     order = []
     for x in sorted(range(m), key=counts.__getitem__):
-        heads = arcs >> shifts[x] & row
+        heads = rows[x] & near[x]
         pair = interned.get((x, heads))
         if pair is None:
             pair = interned[x, heads] = (
@@ -518,9 +518,7 @@ def _option_order(
     return tuple(order)
 
 
-def _class_clique_floor(
-    members: list[int], intra: list[tuple[int, int]], height: Sequence[int]
-) -> int:
+def _class_clique_floor(members: list[int], near: list[int], height: Sequence[int]) -> int:
     """A lower bound on the top height of one equal-weight class in every good
     acyclic orientation, from its maximal cliques.
 
@@ -533,13 +531,9 @@ def _class_clique_floor(
     exchange argument puts the larger forced heights higher. A clique's
     bound is at least any sub-clique's, so the maximal cliques suffice; they
     are found by Bron-Kerbosch with pivoting (Tomita, Tanaka and Takahashi,
-    2006) over the class's intra edges.
+    2006) over the class's intra edges, ``near[x]`` holding x's intra
+    neighbours.
     """
-    index = {x: i for i, x in enumerate(members)}
-    near = [0] * len(members)
-    for u, v in intra:
-        near[index[u]] |= 1 << index[v]
-        near[index[v]] |= 1 << index[u]
     bound = 0
 
     def expand(clique: list[int], some: int, done: int) -> None:
@@ -638,10 +632,10 @@ def ell_prime_orientation(
     floor = max(height)
 
     # A stage: the vertices without intra edges up to and including one
-    # class's weight, that class's members, its options, their orders (each
-    # None until first visited) and the pairs those orders share. A last
-    # stage with a single empty order holds the vertices above the heaviest
-    # class.
+    # class's weight, that class's members, their intra neighbours, its
+    # options, their orders (each None until first visited) and the pairs
+    # those orders share. A last stage with a single empty order holds the
+    # vertices above the heaviest class.
     stages = []
     placed = 0
     product = 1  # candidates so far: the product of the classes' option counts
@@ -651,13 +645,18 @@ def ell_prime_orientation(
         while upto < n and w[by_weight[upto] - 1] <= c:
             upto += 1
         options = _class_options(members, intra, product, caps)
-        floor = max(floor, _class_clique_floor(members, intra, height))
-        fixed = [v for v in by_weight[placed:upto] if v not in members]
+        index = {x: i for i, x in enumerate(members)}
+        near = [0] * len(members)  # each member's intra neighbours, as bits
+        for u, v in intra:
+            near[index[u]] |= 1 << index[v]
+            near[index[v]] |= 1 << index[u]
+        floor = max(floor, _class_clique_floor(members, near, height))
+        fixed = [(v, lighter[v]) for v in by_weight[placed:upto] if v not in members]
         product *= len(options)
-        stages.append(([(v, lighter[v]) for v in fixed], members, options, [None] * len(options), {}))
+        stages.append((fixed, members, near, options, [None] * len(options), {}))
         placed = upto
     if placed < n:
-        stages.append(([(v, lighter[v]) for v in by_weight[placed:]], [], [], [()], {}))
+        stages.append(([(v, lighter[v]) for v in by_weight[placed:]], [], [], [], [()], {}))
 
     best = n + 1  # above every candidate's value
     best_choice: list[_ClassOption] = []
@@ -667,7 +666,7 @@ def ell_prime_orientation(
     def search(s: int, reached: int) -> bool:
         """Extend the choices below stage s; True once the floor is attained."""
         nonlocal best, best_choice
-        fixed, members, options, orders, interned = stages[s]
+        fixed, members, near, options, orders, interned = stages[s]
         for v, heads in fixed:
             height[v] = 1 + max((height[x] for x in heads), default=0)
             reached = max(reached, height[v])
@@ -676,7 +675,7 @@ def ell_prime_orientation(
         base = {v: 1 + max((height[x] for x in lighter[v]), default=0) for v in members}
         for i, order in enumerate(orders):
             if order is None:
-                order = orders[i] = _option_order(members, options[i], interned)
+                order = orders[i] = _option_order(members, options[i], near, interned)
             top = reached
             for v, heads in order:
                 h = base[v]
@@ -936,6 +935,10 @@ def enumerate_pocs(g: WeightedGraph, theta: int, caps: OracleCaps = DEFAULT_CAPS
 
 @lru_cache(maxsize=None)
 def _canonical_masks(n: int) -> tuple[int, ...]:
+    """The least edge mask of each isomorphism class of n-vertex graphs, in
+    ascending order (see ``enumerate_graphs``)."""
+    if n <= 1:
+        return (0,)
     pairs = list(itertools.combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
     tables = []
@@ -947,31 +950,40 @@ def _canonical_masks(n: int) -> tuple[int, ...]:
         tables.append(table)
     tables = tables[1:]  # drop the identity
     masks = []
-    for mask in range(1 << len(pairs)):
-        bits = []
-        m = mask
-        while m:
-            bits.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        minimal = True
-        for table in tables:
-            img = 0
-            for b in bits:
-                img |= 1 << table[b]
-            if img < mask:
-                minimal = False
-                break
-        if minimal:
-            masks.append(mask)
+    for top in _canonical_masks(n - 1):
+        for mask in range(top << (n - 1), (top + 1) << (n - 1)):
+            bits = []
+            m = mask
+            while m:
+                bits.append((m & -m).bit_length() - 1)
+                m &= m - 1
+            minimal = True
+            for table in tables:
+                img = 0
+                for b in bits:
+                    img |= 1 << table[b]
+                if img < mask:
+                    minimal = False
+                    break
+            if minimal:
+                masks.append(mask)
     return tuple(masks)
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """All graphs on n vertices, one labeled representative per isomorphism
-    class (the representative with the lexicographically least edge mask).
+    class (the representative with the least edge mask), in ascending order
+    of that mask.
 
-    Exhaustive over all 2^(n(n-1)/2) edge sets against all n! relabelings,
-    so desk scale only: n = 7 would scan 2^21 masks under 5040 tables.
+    Bit i of a mask is the i-th vertex pair in ``itertools.combinations``
+    order, so vertex 0's n - 1 pairs are the lowest bits and the bits above
+    them are the pairs of G - 0 in the same order. A relabelling that fixes
+    vertex 0 permutes the upper bits among themselves, so the upper part of a
+    least mask is itself a least (n - 1)-vertex mask. The candidates are
+    therefore each (n - 1)-vertex representative extended by every set of
+    vertex 0's pairs, and each is kept when no relabelling of its n! makes it
+    smaller. Desk scale only: n = 7 would scan 156 * 2^6 candidates under
+    5040 tables (about 9 s).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -17,8 +17,9 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from functools import cache
+from typing import Callable, Iterator
 
 from . import multipartite as mp
 from . import oracles, poc_engine
@@ -61,22 +62,41 @@ class RunReport:
         return all(c.passed for c in self.checks)
 
 
-@dataclass
 class _Context:
-    scale: str
-    caps: OracleCaps
-    f_values: dict[Graph, int] = field(default_factory=dict)
+    """One run's scale and caps, its families of graphs, and f, chi and ell
+    of each graph, each computed once per run: several checks read the same
+    values, and a memo lookup is cheapest when its graph is the very object
+    it was computed for."""
 
-    @property
-    def full(self) -> bool:
-        return self.scale == "full"
+    def __init__(self, scale: str, caps: OracleCaps) -> None:
+        self.scale, self.caps, self.full = scale, caps, scale == "full"
+        self._of_order = cache(lambda n: tuple(oracles.enumerate_graphs(n)))
+        self.f = cache(lambda g: oracles.f_exact(g, caps))
+        self.chi = cache(lambda g: oracles.chromatic_number(g))
+        self.ell = cache(lambda g: oracles.longest_path_exact(g, caps))
 
-    def f(self, g: Graph) -> int:
-        """f(G), computed once per graph per run: theorem1 and the
-        Hamiltonian corollary read the same values."""
-        if g not in self.f_values:
-            self.f_values[g] = oracles.f_exact(g, self.caps)
-        return self.f_values[g]
+    def graphs(self, nmax: int) -> Iterator[Graph]:
+        """Every graph with 1 <= n <= nmax vertices, up to isomorphism."""
+        for n in range(1, nmax + 1):
+            yield from self._of_order(n)
+
+    def weighted(self, nmax: int) -> Iterator[WeightedGraph]:
+        """Every graph of ``graphs(nmax)`` under every weighting up to order
+        (``weak_orderings``), graph by graph."""
+        for n in range(1, nmax + 1):
+            weightings = list(oracles.weak_orderings(n))
+            for g in self._of_order(n):
+                for weights in weightings:
+                    yield WeightedGraph(g, weights)
+
+
+class _Failed(Exception):
+    """Raised by a check at its first bad instance, with what it observed
+    there and what it expected."""
+
+    def __init__(self, observed: str, expected: str) -> None:
+        super().__init__(observed)
+        self.observed, self.expected = observed, expected
 
 
 def _tag(g: WeightedGraph) -> str:
@@ -96,7 +116,7 @@ def _graph_tag(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def check_c4w_fixture(ctx: _Context) -> tuple[bool, str, str]:
+def check_c4w_fixture(ctx: _Context) -> tuple[str, str]:
     g = load_fixture("C4W")
     value, witness = oracles.chi_poc_exact(g, ctx.caps)
     pocs3 = list(oracles.iter_pocs(g, 3, ctx.caps))
@@ -106,17 +126,12 @@ def check_c4w_fixture(ctx: _Context) -> tuple[bool, str, str]:
         f"unique={pocs3[0].colors if pocs3 else None} pocs@2={pocs2}"
     )
     expected = "chi_poc=3 pocs@3=1 unique=(1, 2, 2, 3) pocs@2=0"
-    ok = (
-        value == 3
-        and poc_engine.is_valid_poc(g, witness)
-        and len(pocs3) == 1
-        and pocs3[0].colors == (1, 2, 2, 3)
-        and pocs2 == 0
-    )
-    return ok, observed, expected
+    if observed != expected or not poc_engine.is_valid_poc(g, witness):
+        raise _Failed(observed, expected)
+    return observed, expected
 
 
-def check_k135_fixture(ctx: _Context) -> tuple[bool, str, str]:
+def check_k135_fixture(ctx: _Context) -> tuple[str, str]:
     g = load_fixture("K135")
     inst = mp.MultipartiteInstance((1, 3, 5), g.weights)
     mocs = mp.find_mocs(inst)
@@ -128,19 +143,12 @@ def check_k135_fixture(ctx: _Context) -> tuple[bool, str, str]:
         f"palette={coloring.palette} c(z5)={coloring.color(9)}"
     )
     expected = "total=8 V(S)=5 q=2 g=5 palette=5 c(z5)=3"
-    ok = (
-        mocs.total_size == 8
-        and s.vertex_count == 5
-        and s.q == 2
-        and gv == 5
-        and coloring.palette == 5
-        and coloring.color(9) == 3
-        and poc_engine.is_valid_poc(g, coloring)
-    )
-    return ok, observed, expected
+    if observed != expected or not poc_engine.is_valid_poc(g, coloring):
+        raise _Failed(observed, expected)
+    return observed, expected
 
 
-def check_chem_fixture(ctx: _Context) -> tuple[bool, str, str]:
+def check_chem_fixture(ctx: _Context) -> tuple[str, str]:
     g = load_fixture("CHEM")
     reference = Coloring((1, 2, 3, 3, 4, 5), 5)
     ref_ok = poc_engine.is_valid_poc(g, reference)
@@ -149,14 +157,9 @@ def check_chem_fixture(ctx: _Context) -> tuple[bool, str, str]:
     pocs3 = oracles.enumerate_pocs(g, 3, ctx.caps)
     observed = f"reference_valid={ref_ok} chi_poc={value} ell_prime={lprime} pocs@3={pocs3}"
     expected = "reference_valid=True chi_poc=4 ell_prime=4 pocs@3=0"
-    ok = (
-        ref_ok
-        and value == 4
-        and lprime == 4
-        and pocs3 == 0
-        and poc_engine.is_valid_poc(g, witness)
-    )
-    return ok, observed, expected
+    if observed != expected or not poc_engine.is_valid_poc(g, witness):
+        raise _Failed(observed, expected)
+    return observed, expected
 
 
 # ---------------------------------------------------------------------------
@@ -164,62 +167,54 @@ def check_chem_fixture(ctx: _Context) -> tuple[bool, str, str]:
 # ---------------------------------------------------------------------------
 
 
-def check_theorem1(ctx: _Context) -> tuple[bool, str, str]:
+def check_theorem1(ctx: _Context) -> tuple[str, str]:
     """f(G) equals the order of a longest path, over all graphs up to iso."""
     nmax = 6 if ctx.full else 5
     count = 0
-    for n in range(1, nmax + 1):
-        for g in oracles.enumerate_graphs(n):
-            f = ctx.f(g)
-            lp = oracles.longest_path_exact(g, ctx.caps)
-            if f != lp:
-                return False, f"f={f} longest_path={lp} on {_graph_tag(g)}", "f == longest_path"
-            count += 1
-    return True, f"f == longest_path on {count} graphs (n <= {nmax})", "f == longest_path"
+    for g in ctx.graphs(nmax):
+        f, lp = ctx.f(g), ctx.ell(g)
+        if f != lp:
+            raise _Failed(f"f={f} longest_path={lp} on {_graph_tag(g)}", "f == longest_path")
+        count += 1
+    return f"f == longest_path on {count} graphs (n <= {nmax})", "f == longest_path"
 
 
-def _theorem3_one(ctx: _Context, wg: WeightedGraph, chi: int) -> str | None:
+def _theorem3_one(ctx: _Context, wg: WeightedGraph) -> None:
     chi_poc, witness = oracles.chi_poc_exact(wg, ctx.caps)
     lprime = oracles.ell_prime_exact(wg, ctx.caps)
     if chi_poc != lprime:
-        return f"chi_poc={chi_poc} ell_prime={lprime} on {_tag(wg)}"
+        raise _Failed(
+            f"chi_poc={chi_poc} ell_prime={lprime} on {_tag(wg)}", "chi_poc == ell_prime"
+        )
     if not poc_engine.is_valid_poc(wg, witness):
-        return f"invalid witness coloring on {_tag(wg)}"
+        raise _Failed(f"invalid witness coloring on {_tag(wg)}", "chi_poc == ell_prime")
+    chi = ctx.chi(wg.graph)
     if not chi <= chi_poc <= wg.n:
-        return f"sandwich chi={chi} chi_poc={chi_poc} n={wg.n} violated on {_tag(wg)}"
-    return None
+        raise _Failed(
+            f"sandwich chi={chi} chi_poc={chi_poc} n={wg.n} violated on {_tag(wg)}",
+            "chi_poc == ell_prime",
+        )
 
 
-def check_theorem3(ctx: _Context) -> tuple[bool, str, str]:
+def check_theorem3(ctx: _Context) -> tuple[str, str]:
     """chi_POC(G,w) = ell'(G,w): backtracking vs orientation enumeration."""
     nmax = 5 if ctx.full else 4
     rounds = 500 if ctx.full else 150
     count = 0
-    for n in range(1, nmax + 1):
-        weightings = list(oracles.weak_orderings(n))
-        for g in oracles.enumerate_graphs(n):
-            chi = oracles.chromatic_number(g)
-            for weights in weightings:
-                problem = _theorem3_one(ctx, WeightedGraph(g, weights), chi)
-                if problem:
-                    return False, problem, "chi_poc == ell_prime"
-                count += 1
+    for wg in ctx.weighted(nmax):
+        _theorem3_one(ctx, wg)
+        count += 1
     rng = random.Random(3403)
     for _ in range(rounds):
         n = rng.randint(1, 8)
-        wg = random_weighted_graph(rng, n, rng.uniform(0.15, 0.85), rng.randint(1, 4))
-        problem = _theorem3_one(ctx, wg, oracles.chromatic_number(wg.graph))
-        if problem:
-            return False, problem, "chi_poc == ell_prime"
-        count += 1
-    return (
-        True,
-        f"oracles agree on {count} instances (exhaustive n <= {nmax} + {rounds} random)",
-        "chi_poc == ell_prime",
-    )
+        _theorem3_one(
+            ctx, random_weighted_graph(rng, n, rng.uniform(0.15, 0.85), rng.randint(1, 4))
+        )
+    family = f"exhaustive n <= {nmax} + {rounds} random"
+    return f"oracles agree on {count + rounds} instances ({family})", "chi_poc == ell_prime"
 
 
-def check_theorem4(ctx: _Context) -> tuple[bool, str, str]:
+def check_theorem4(ctx: _Context) -> tuple[str, str]:
     """Bipartite worst case min(m+n, 2m+1): formula vs brute force, plus the
     layered construction on random weightings."""
     for m in range(1, 4):
@@ -228,8 +223,7 @@ def check_theorem4(ctx: _Context) -> tuple[bool, str, str]:
             formula = mp.bipartite_chi_poc_t(m, n, t)
             brute = oracles.chi_poc_t(complete_multipartite_graph((m, n)), t, ctx.caps)
             if formula != brute or formula != min(m + n, 2 * m + 1):
-                return (
-                    False,
+                raise _Failed(
                     f"K({m},{n}) t={t}: formula={formula} brute={brute}",
                     "formula == brute == min(m+n, 2m+1)",
                 )
@@ -243,14 +237,12 @@ def check_theorem4(ctx: _Context) -> tuple[bool, str, str]:
                 coloring = mp.bipartite_layered_coloring(m, n, weights)
                 wg = WeightedGraph(complete_multipartite_graph((m, n)), weights)
                 if not poc_engine.is_valid_poc(wg, coloring):
-                    return False, f"invalid layered coloring on {_tag(wg)}", "valid POC"
+                    raise _Failed(f"invalid layered coloring on {_tag(wg)}", "valid POC")
                 if coloring.palette > limit:
-                    return (
-                        False,
-                        f"palette={coloring.palette} > {limit} on {_tag(wg)}",
-                        "palette <= 2m+1",
+                    raise _Failed(
+                        f"palette={coloring.palette} > {limit} on {_tag(wg)}", "palette <= 2m+1"
                     )
-    return True, "formula matches brute force; layered coloring within 2m+1", "Theorem 4"
+    return "formula matches brute force; layered coloring within 2m+1", "Theorem 4"
 
 
 def _prop2_family() -> list[tuple[int, ...]]:
@@ -261,29 +253,24 @@ def _prop2_family() -> list[tuple[int, ...]]:
     ]
 
 
-def check_proposition2(ctx: _Context) -> tuple[bool, str, str]:
+def check_proposition2(ctx: _Context) -> tuple[str, str]:
     """h (MOCs construction, maximized over weightings) equals the brute-force
     worst case chi_poc_t on the whole small multipartite family."""
-    tmax = 3
     count = 0
     for sizes in _prop2_family():
         if not ctx.full and sum(sizes) > 7:
             continue
         graph = complete_multipartite_graph(sizes)
-        for t in range(1, tmax + 1):
+        for t in (1, 2, 3):
             h = mp.h_value(sizes, t, ctx.caps)
             brute = oracles.chi_poc_t(graph, t, ctx.caps)
             if h != brute:
-                return (
-                    False,
-                    f"parts={sizes} t={t}: h={h} chi_poc_t={brute}",
-                    "h == chi_poc_t",
-                )
+                raise _Failed(f"parts={sizes} t={t}: h={h} chi_poc_t={brute}", "h == chi_poc_t")
             count += 1
-    return True, f"h == chi_poc_t on {count} (parts, t) instances", "h == chi_poc_t"
+    return f"h == chi_poc_t on {count} (parts, t) instances", "h == chi_poc_t"
 
 
-def check_proposition1_exhaustive(ctx: _Context) -> tuple[bool, str, str]:
+def check_proposition1_exhaustive(ctx: _Context) -> tuple[str, str]:
     """Every MOCs coloring on the small multipartite family is a valid POC and
     uses exactly total - |V(S)| + q colors (the count is asserted inside the
     construction; here every weighting and every MOCs choice is driven), and
@@ -301,31 +288,28 @@ def check_proposition1_exhaustive(ctx: _Context) -> tuple[bool, str, str]:
                     mp.mocs_coloring(inst, mocs, s)
                 except AssertionError as exc:
                     wg = inst.weighted_graph()
-                    return False, f"{exc} on {_tag(wg)}", "valid POC with exact count"
+                    raise _Failed(f"{exc} on {_tag(wg)}", "valid POC with exact count") from exc
                 if mocs.total_size - s.vertex_count + s.q != gv:
                     tag = f"MOCs {mocs.cliques} of {_tag(inst.weighted_graph())}"
-                    return False, f"{tag} misses g={gv}", "every MOCs gives g"
+                    raise _Failed(f"{tag} misses g={gv}", "every MOCs gives g")
                 count += 1
-    return True, f"{count} MOCs colorings valid with exact color count", "Proposition 1"
+    return f"{count} MOCs colorings valid with exact color count", "Proposition 1"
 
 
-def check_theorem2(ctx: _Context) -> tuple[bool, str, str]:
+def check_theorem2(ctx: _Context) -> tuple[str, str]:
     """Palette ratio (chi_poc_t - 1) <= t (chi - 1) across all suite families,
     plus sharpness when every part carries all t weights."""
-    nmax = 5 if ctx.full else 4
-    for n in range(1, nmax + 1):
-        for g in oracles.enumerate_graphs(n):
-            chi = oracles.chromatic_number(g)
-            for t in (1, 2, 3):
-                value = oracles.chi_poc_t(g, t, ctx.caps)
-                if value - 1 > t * (chi - 1):
-                    return (
-                        False,
-                        f"chi_poc_t={value} chi={chi} t={t} on {_graph_tag(g)}",
-                        "chi_poc_t - 1 <= t (chi - 1)",
-                    )
-                if g.m == 0 and value != 1:
-                    return False, f"edgeless chi_poc_t={value}", "edgeless graphs use 1 color"
+    for g in ctx.graphs(5 if ctx.full else 4):
+        chi = ctx.chi(g)
+        for t in (1, 2, 3):
+            value = oracles.chi_poc_t(g, t, ctx.caps)
+            if value - 1 > t * (chi - 1):
+                raise _Failed(
+                    f"chi_poc_t={value} chi={chi} t={t} on {_graph_tag(g)}",
+                    "chi_poc_t - 1 <= t (chi - 1)",
+                )
+            if g.m == 0 and value != 1:
+                raise _Failed(f"edgeless chi_poc_t={value}", "edgeless graphs use 1 color")
     for k in (2, 3):
         for t in (2, 3):
             sizes = (t,) * k
@@ -335,47 +319,37 @@ def check_theorem2(ctx: _Context) -> tuple[bool, str, str]:
             chi_poc, _ = oracles.chi_poc_exact(inst.weighted_graph(), ctx.caps)
             h = mp.h_value(sizes, t, ctx.caps)
             if chi_poc != bound or h != bound:
-                return (
-                    False,
+                raise _Failed(
                     f"k={k} t={t}: chi_poc={chi_poc} h={h} bound={bound}",
                     "sharp instances reach (k-1)t+1",
                 )
             for mocs in mp.enumerate_mocs(inst, ctx.caps):
                 s = mp.find_max_spaths(inst, mocs)
                 if s.vertex_count != 2 * t - 2:
-                    return (
-                        False,
-                        f"k={k} t={t}: V(S)={s.vertex_count}",
-                        "V(S) == 2t-2 on sharp instances",
+                    raise _Failed(
+                        f"k={k} t={t}: V(S)={s.vertex_count}", "V(S) == 2t-2 on sharp instances"
                     )
-    return True, "ratio bound holds; sharp family attains (k-1)t+1 with V(S)=2t-2", "Theorem 2"
+    return "ratio bound holds; sharp family attains (k-1)t+1 with V(S)=2t-2", "Theorem 2"
 
 
-def check_theorem2_constructive(ctx: _Context) -> tuple[bool, str, str]:
+def check_theorem2_constructive(ctx: _Context) -> tuple[str, str]:
     """Completing to a multipartite graph and pulling the MOCs coloring back
     yields a valid POC of the original graph within (chi-1)t + 1 colors."""
-    nmax = 5 if ctx.full else 4
     count = 0
-    for n in range(2, nmax + 1):
-        weightings = list(oracles.weak_orderings(n))
-        for g in oracles.enumerate_graphs(n):
-            if g.m == 0:
-                continue
-            chi = oracles.chromatic_number(g)
-            for weights in weightings:
-                wg = WeightedGraph(g, weights)
-                coloring = mp.completion_coloring(wg)
-                t = len(set(wg.weights))
-                if not poc_engine.is_valid_poc(wg, coloring):
-                    return False, f"invalid completion coloring on {_tag(wg)}", "valid POC"
-                if coloring.palette > (chi - 1) * t + 1:
-                    return (
-                        False,
-                        f"palette={coloring.palette} > ({chi}-1)*{t}+1 on {_tag(wg)}",
-                        "palette <= (chi-1)t+1",
-                    )
-                count += 1
-    return True, f"completion POC within bound on {count} instances", "constructive Theorem 2"
+    for wg in ctx.weighted(5 if ctx.full else 4):
+        if wg.graph.m == 0:
+            continue
+        coloring = mp.completion_coloring(wg)
+        chi, t = ctx.chi(wg.graph), len(set(wg.weights))
+        if not poc_engine.is_valid_poc(wg, coloring):
+            raise _Failed(f"invalid completion coloring on {_tag(wg)}", "valid POC")
+        if coloring.palette > (chi - 1) * t + 1:
+            raise _Failed(
+                f"palette={coloring.palette} > ({chi}-1)*{t}+1 on {_tag(wg)}",
+                "palette <= (chi-1)t+1",
+            )
+        count += 1
+    return f"completion POC within bound on {count} instances", "constructive Theorem 2"
 
 
 def _height_problem(d: Orientation, c: Coloring) -> str | None:
@@ -401,7 +375,7 @@ def _height_problem(d: Orientation, c: Coloring) -> str | None:
     return None
 
 
-def check_algorithm_bounds(ctx: _Context) -> tuple[bool, str, str]:
+def check_algorithm_bounds(ctx: _Context) -> tuple[str, str]:
     """Greedy and orientation-greedy colorings on seeded random instances:
     validity, palette bounds, and the coloring -> orientation direction."""
     rounds = 1000 if ctx.full else 200
@@ -411,54 +385,48 @@ def check_algorithm_bounds(ctx: _Context) -> tuple[bool, str, str]:
         wg = random_weighted_graph(rng, n, rng.uniform(0.1, 0.9), rng.randint(1, n))
         greedy = poc_engine.greedy_poc(wg)
         if not poc_engine.is_valid_poc(wg, greedy):
-            return False, f"greedy invalid on {_tag(wg)}", "greedy is a POC"
-        lp = oracles.longest_path_exact(wg.graph, ctx.caps)
+            raise _Failed(f"greedy invalid on {_tag(wg)}", "greedy is a POC")
+        lp = ctx.ell(wg.graph)
         if greedy.palette > lp:
-            return (
-                False,
+            raise _Failed(
                 f"greedy palette={greedy.palette} > longest_path={lp} on {_tag(wg)}",
                 "palette <= longest path",
             )
         d = poc_engine.build_good_orientation(wg)
         if not poc_engine.is_good_acyclic(wg, d):
-            return False, f"built orientation not good acyclic on {_tag(wg)}", "good acyclic"
+            raise _Failed(f"built orientation not good acyclic on {_tag(wg)}", "good acyclic")
         oriented = poc_engine.greedy_poc_from_orientation(wg, d)
         problem = _height_problem(d, oriented)
         if problem or not poc_engine.is_valid_poc(wg, oriented):
-            return (
-                False,
+            raise _Failed(
                 f"oriented greedy {problem or 'invalid'} on {_tag(wg)}",
                 "valid POC coloring each vertex by its height",
             )
-        back = poc_engine.orientation_from_coloring(wg, greedy)
-        if poc_engine.dag_longest_path(back) > greedy.palette:
-            return (
-                False,
-                f"dipath {poc_engine.dag_longest_path(back)} > palette {greedy.palette} on {_tag(wg)}",
-                "dipath <= palette",
+        dipath = poc_engine.dag_longest_path(poc_engine.orientation_from_coloring(wg, greedy))
+        if dipath > greedy.palette:
+            raise _Failed(
+                f"dipath {dipath} > palette {greedy.palette} on {_tag(wg)}", "dipath <= palette"
             )
         normed = normalize_weights(wg)
         if poc_engine.is_valid_poc(normed, greedy) != poc_engine.is_valid_poc(wg, greedy):
-            return False, f"validity changed by normalization on {_tag(wg)}", "invariant"
-    return True, f"all bounds hold on {rounds} random instances (n <= 10)", "algorithm bounds"
+            raise _Failed(f"validity changed by normalization on {_tag(wg)}", "invariant")
+    return f"all bounds hold on {rounds} random instances (n <= 10)", "algorithm bounds"
 
 
-def check_hamiltonian_corollary(ctx: _Context) -> tuple[bool, str, str]:
+def check_hamiltonian_corollary(ctx: _Context) -> tuple[str, str]:
     """f(G) = n exactly when a direct search finds a Hamiltonian path."""
     nmax = 6 if ctx.full else 5
     count = 0
-    for n in range(1, nmax + 1):
-        for g in oracles.enumerate_graphs(n):
-            f = ctx.f(g)
-            ham = oracles.has_hamiltonian_path(g)
-            if (f == n) != ham:
-                return (
-                    False,
-                    f"f={f} n={n} hamiltonian={ham} on {_graph_tag(g)}",
-                    "f == n iff Hamiltonian path",
-                )
-            count += 1
-    return True, f"corollary holds on {count} graphs (n <= {nmax})", "Hamiltonian corollary"
+    for g in ctx.graphs(nmax):
+        f = ctx.f(g)
+        ham = oracles.has_hamiltonian_path(g)
+        if (f == g.n) != ham:
+            raise _Failed(
+                f"f={f} n={g.n} hamiltonian={ham} on {_graph_tag(g)}",
+                "f == n iff Hamiltonian path",
+            )
+        count += 1
+    return f"corollary holds on {count} graphs (n <= {nmax})", "Hamiltonian corollary"
 
 
 # ---------------------------------------------------------------------------
@@ -466,24 +434,24 @@ def check_hamiltonian_corollary(ctx: _Context) -> tuple[bool, str, str]:
 # ---------------------------------------------------------------------------
 
 
-def check_roundtrip(ctx: _Context) -> tuple[bool, str, str]:
+def check_roundtrip(ctx: _Context) -> tuple[str, str]:
     rng = random.Random(3411)
     rounds = 300 if ctx.full else 100
     for _ in range(rounds):
         n = rng.randint(1, 9)
         wg = random_weighted_graph(rng, n, rng.uniform(0.0, 1.0), rng.randint(1, 9))
         if parse_wpoc(serialize_wpoc(wg)) != wg:
-            return False, f"wpoc roundtrip changed {_tag(wg)}", "identity"
+            raise _Failed(f"wpoc roundtrip changed {_tag(wg)}", "identity")
         coloring = poc_engine.greedy_poc(wg)
         if parse_coloring(serialize_coloring(coloring), n) != coloring:
-            return False, f"coloring roundtrip changed on {_tag(wg)}", "identity"
+            raise _Failed(f"coloring roundtrip changed on {_tag(wg)}", "identity")
         d = poc_engine.build_good_orientation(wg)
         if parse_orientation(serialize_orientation(d), wg.graph) != d:
-            return False, f"orientation roundtrip changed on {_tag(wg)}", "identity"
-    return True, f"parse(serialize(x)) == x on {rounds} random instances", "round trip"
+            raise _Failed(f"orientation roundtrip changed on {_tag(wg)}", "identity")
+    return f"parse(serialize(x)) == x on {rounds} random instances", "round trip"
 
 
-def check_normalize(ctx: _Context) -> tuple[bool, str, str]:
+def check_normalize(ctx: _Context) -> tuple[str, str]:
     rng = random.Random(3412)
     rounds = 300 if ctx.full else 100
     for _ in range(rounds):
@@ -491,95 +459,80 @@ def check_normalize(ctx: _Context) -> tuple[bool, str, str]:
         wg = random_weighted_graph(rng, n, 0.5, rng.randint(1, 50))
         once = normalize_weights(wg)
         if normalize_weights(once) != once:
-            return False, f"not idempotent on {_tag(wg)}", "idempotent"
+            raise _Failed(f"not idempotent on {_tag(wg)}", "idempotent")
         if set(once.weights) != set(range(1, len(set(wg.weights)) + 1)):
-            return False, f"ranks not contiguous on {_tag(wg)}", "ranks 1..s"
+            raise _Failed(f"ranks not contiguous on {_tag(wg)}", "ranks 1..s")
         for u, v in itertools.combinations(range(1, n + 1), 2):
             before = (wg.weight(u) > wg.weight(v)) - (wg.weight(u) < wg.weight(v))
             after = (once.weight(u) > once.weight(v)) - (once.weight(u) < once.weight(v))
             if before != after:
-                return False, f"order of ({u},{v}) changed on {_tag(wg)}", "order preserved"
-    return True, f"idempotent and order-preserving on {rounds} instances", "normalize"
+                raise _Failed(f"order of ({u},{v}) changed on {_tag(wg)}", "order preserved")
+    return f"idempotent and order-preserving on {rounds} instances", "normalize"
 
 
-def check_complement(ctx: _Context) -> tuple[bool, str, str]:
+def check_complement(ctx: _Context) -> tuple[str, str]:
     nmax = 5
-    for n in range(1, nmax + 1):
-        for g in oracles.enumerate_graphs(n):
-            cc = complement(complement(g))
-            if cc != g:
-                return False, f"involution failed on {_graph_tag(g)}", "involution"
-            if g.m + complement(g).m != n * (n - 1) // 2:
-                return False, f"edge counts off on {_graph_tag(g)}", "m + m' = n(n-1)/2"
-    return True, f"involution and edge-count identity on all graphs n <= {nmax}", "complement"
+    for g in ctx.graphs(nmax):
+        cc = complement(complement(g))
+        if cc != g:
+            raise _Failed(f"involution failed on {_graph_tag(g)}", "involution")
+        if g.m + complement(g).m != g.n * (g.n - 1) // 2:
+            raise _Failed(f"edge counts off on {_graph_tag(g)}", "m + m' = n(n-1)/2")
+    return f"involution and edge-count identity on all graphs n <= {nmax}", "complement"
 
 
-def check_greedy_exhaustive(ctx: _Context) -> tuple[bool, str, str]:
+def check_greedy_exhaustive(ctx: _Context) -> tuple[str, str]:
     """Greedy POC validity and the longest-path palette bound on every
     weighting of every small graph."""
-    nmax = 6 if ctx.full else 5
     count = 0
-    for n in range(1, nmax + 1):
-        weightings = list(oracles.weak_orderings(n))
-        for g in oracles.enumerate_graphs(n):
-            lp = oracles.longest_path_exact(g, ctx.caps)
-            for weights in weightings:
-                wg = WeightedGraph(g, weights)
-                coloring = poc_engine.greedy_poc(wg)
-                if not poc_engine.is_valid_poc(wg, coloring):
-                    return False, f"greedy invalid on {_tag(wg)}", "greedy is a POC"
-                if coloring.palette > lp:
-                    return (
-                        False,
-                        f"palette={coloring.palette} > longest_path={lp} on {_tag(wg)}",
-                        "palette <= longest path",
-                    )
-                count += 1
-    return True, f"greedy valid and bounded on {count} weighted instances", "greedy exhaustive"
+    for wg in ctx.weighted(6 if ctx.full else 5):
+        lp = ctx.ell(wg.graph)
+        coloring = poc_engine.greedy_poc(wg)
+        if not poc_engine.is_valid_poc(wg, coloring):
+            raise _Failed(f"greedy invalid on {_tag(wg)}", "greedy is a POC")
+        if coloring.palette > lp:
+            raise _Failed(
+                f"palette={coloring.palette} > longest_path={lp} on {_tag(wg)}",
+                "palette <= longest path",
+            )
+        count += 1
+    return f"greedy valid and bounded on {count} weighted instances", "greedy exhaustive"
 
 
-def check_oriented_greedy_all_orientations(ctx: _Context) -> tuple[bool, str, str]:
+def check_oriented_greedy_all_orientations(ctx: _Context) -> tuple[str, str]:
     """Oriented greedy colors each vertex by its height, so its palette is
     the longest dipath, for *every* good acyclic orientation of every small
     weighted graph."""
-    nmax = 4 if ctx.full else 3
     count = 0
-    for n in range(1, nmax + 1):
-        weightings = list(oracles.weak_orderings(n))
-        for g in oracles.enumerate_graphs(n):
-            edges = g.sorted_edges()
-            for weights in weightings:
-                wg = WeightedGraph(g, weights)
-                for bits in range(1 << len(edges)):
-                    arcs = frozenset(
-                        (u, v) if not bits >> i & 1 else (v, u)
-                        for i, (u, v) in enumerate(edges)
-                    )
-                    d = Orientation(g, arcs)
-                    if not poc_engine.is_good_acyclic(wg, d):
-                        continue
-                    coloring = poc_engine.greedy_poc_from_orientation(wg, d)
-                    problem = _height_problem(d, coloring)
-                    if problem or not poc_engine.is_valid_poc(wg, coloring):
-                        return (
-                            False,
-                            f"{problem or 'invalid'} arcs={sorted(arcs)} on {_tag(wg)}",
-                            "valid POC coloring each vertex by its height",
-                        )
-                    count += 1
-    return True, f"bound holds for all {count} good acyclic orientations", "oriented greedy"
+    for wg in ctx.weighted(4 if ctx.full else 3):
+        edges = wg.graph.sorted_edges()
+        for bits in range(1 << len(edges)):
+            arcs = frozenset(
+                (u, v) if not bits >> i & 1 else (v, u) for i, (u, v) in enumerate(edges)
+            )
+            d = Orientation(wg.graph, arcs)
+            if not poc_engine.is_good_acyclic(wg, d):
+                continue
+            coloring = poc_engine.greedy_poc_from_orientation(wg, d)
+            problem = _height_problem(d, coloring)
+            if problem or not poc_engine.is_valid_poc(wg, coloring):
+                raise _Failed(
+                    f"{problem or 'invalid'} arcs={sorted(arcs)} on {_tag(wg)}",
+                    "valid POC coloring each vertex by its height",
+                )
+            count += 1
+    return f"bound holds for all {count} good acyclic orientations", "oriented greedy"
 
 
-def check_chi_poc_t_monotone(ctx: _Context) -> tuple[bool, str, str]:
+def check_chi_poc_t_monotone(ctx: _Context) -> tuple[str, str]:
     nmax = 4
-    for n in range(1, nmax + 1):
-        for g in oracles.enumerate_graphs(n):
-            values = [oracles.chi_poc_t(g, t, ctx.caps) for t in range(1, n + 2)]
-            if values[0] != oracles.chromatic_number(g):
-                return False, f"t=1 gives {values[0]} on {_graph_tag(g)}", "t=1 equals chi"
-            if any(a > b for a, b in zip(values, values[1:])):
-                return False, f"not monotone: {values} on {_graph_tag(g)}", "monotone in t"
-    return True, f"monotone in t with chi at t=1 on all graphs n <= {nmax}", "monotonicity"
+    for g in ctx.graphs(nmax):
+        values = [oracles.chi_poc_t(g, t, ctx.caps) for t in range(1, g.n + 2)]
+        if values[0] != ctx.chi(g):
+            raise _Failed(f"t=1 gives {values[0]} on {_graph_tag(g)}", "t=1 equals chi")
+        if any(a > b for a, b in zip(values, values[1:])):
+            raise _Failed(f"not monotone: {values} on {_graph_tag(g)}", "monotone in t")
+    return f"monotone in t with chi at t=1 on all graphs n <= {nmax}", "monotonicity"
 
 
 @dataclass(frozen=True)
@@ -587,10 +540,10 @@ class Check:
     """One row of the check table: ``criterion`` is the acceptance criterion
     the check gates (None if it gates none; the acceptance tests then run it
     at quick scale), ``budget_s`` the wall time the acceptance tests allow
-    it."""
+    it. ``run`` returns (observed, expected) or raises ``_Failed``."""
 
     name: str
-    run: Callable[[_Context], tuple[bool, str, str]]
+    run: Callable[[_Context], tuple[str, str]]
     criterion: int | None
     budget_s: float
 
@@ -617,23 +570,23 @@ CHECKS: tuple[Check, ...] = (
 )
 
 
-def run_selftest(
-    scale: str = "quick",
-    caps: OracleCaps = DEFAULT_CAPS,
-    names: tuple[str, ...] | None = None,
-) -> RunReport:
+def run_check(check: Check, ctx: _Context) -> CheckResult:
+    """Run one check; its ``_Failed`` or a crash is a failed result, not a
+    crashed run."""
+    start = time.perf_counter()
+    try:
+        observed, expected = check.run(ctx)
+        passed = True
+    except _Failed as failed:
+        passed, observed, expected = False, failed.observed, failed.expected
+    except Exception as exc:
+        passed, observed, expected = False, f"{type(exc).__name__}: {exc}", "no error"
+    elapsed = (time.perf_counter() - start) * 1000.0
+    return CheckResult(check.name, passed, observed, expected, elapsed)
+
+
+def run_selftest(scale: str = "quick", caps: OracleCaps = DEFAULT_CAPS) -> RunReport:
     if scale not in ("quick", "full"):
         raise ValueError(f"scale must be 'quick' or 'full', got {scale!r}")
     ctx = _Context(scale, caps)
-    results = []
-    for check in CHECKS:
-        if names is not None and check.name not in names:
-            continue
-        start = time.perf_counter()
-        try:
-            passed, observed, expected = check.run(ctx)
-        except Exception as exc:  # a crash is a failed check, not a crashed run
-            passed, observed, expected = False, f"{type(exc).__name__}: {exc}", "no error"
-        elapsed = (time.perf_counter() - start) * 1000.0
-        results.append(CheckResult(check.name, passed, observed, expected, elapsed))
-    return RunReport(scale=scale, checks=results)
+    return RunReport(scale, [run_check(check, ctx) for check in CHECKS])

@@ -10,11 +10,10 @@ families for fast local runs (the default is the full desk-scale suite).
 from __future__ import annotations
 
 import os
-import time
 
 from pocgraph import Coloring, WeightedGraph, build_good_orientation, path_graph
 from pocgraph.oracles import DEFAULT_CAPS
-from pocgraph.selftest import CHECKS, Check, _Context, _height_problem
+from pocgraph.selftest import CHECKS, Check, _Context, _height_problem, run_check
 
 SCALE = os.environ.get("POC_ACCEPTANCE_SCALE", "full")
 
@@ -83,17 +82,16 @@ def _run(capsys, check: Check) -> None:
         label, ctx = "check", _CONTEXTS["quick"]
     else:
         label, ctx = f"criterion-{check.criterion:02d}", _CONTEXTS[SCALE]
-    start = time.perf_counter()
-    passed, observed, expected = check.run(ctx)
-    elapsed = time.perf_counter() - start
-    status = "PASS" if passed else "FAIL"
+    result = run_check(check, ctx)
+    elapsed = result.elapsed_ms / 1000.0
+    status = "PASS" if result.passed else "FAIL"
     with capsys.disabled():
         print(
             f"\nACCEPTANCE {label} [{check.name}] {status} "
-            f"({elapsed:.2f}s, scale={ctx.scale}): {observed}"
+            f"({elapsed:.2f}s, scale={ctx.scale}): {result.observed}"
         )
-    assert passed, f"{label}: observed {observed}; expected {expected}"
-    assert observed == OBSERVED[ctx.scale, check.name]
+    assert result.passed, f"{label}: observed {result.observed}; expected {result.expected}"
+    assert result.observed == OBSERVED[ctx.scale, check.name]
     assert elapsed < check.budget_s, f"{label} took {elapsed:.1f}s (budget {check.budget_s}s)"
 
 

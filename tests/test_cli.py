@@ -194,11 +194,17 @@ def test_oracle_chipoc_witness_verifies(capsys, tmp_path, chem_file):
     assert rc == 0
 
 
-def test_oracle_ell_witness_path(capsys, c4w_file):
+def test_oracle_ell_witness_path(capsys, monkeypatch, c4w_file):
+    real = oracles.longest_path_witness
+    calls = []
+    monkeypatch.setattr(
+        oracles, "longest_path_witness", lambda g, caps: calls.append(g) or real(g, caps)
+    )
     rc, out, _ = run(capsys, "oracle", c4w_file, "ell", "--witness")
     assert rc == 0 and "ell 4" in out
     path_line = next(l for l in out.splitlines() if l.startswith("path "))
     assert len(path_line.split()[1].split("-")) == 4
+    assert len(calls) == 1  # the value is the witness's length, not a second DP
 
 
 def test_cap_exceeded_exits_3(capsys, monkeypatch, c4w_file):
@@ -373,15 +379,16 @@ def test_generate_cycle_rejects_small_n(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_selftest_subset_passes(capsys):
-    # fixture checks only: every check runs under its own acceptance test
-    report = selftest.run_selftest("quick", names=("c4w-fixture", "k135-fixture", "chem-fixture"))
-    assert report.ok
-    assert len(report.checks) == 3
-
-
 def _only_checks(monkeypatch, *names):
     monkeypatch.setattr(selftest, "CHECKS", tuple(c for c in selftest.CHECKS if c.name in names))
+
+
+def test_selftest_subset_passes(monkeypatch):
+    # fixture checks only: every check runs under its own acceptance test
+    _only_checks(monkeypatch, "c4w-fixture", "k135-fixture", "chem-fixture")
+    report = selftest.run_selftest("quick")
+    assert report.ok
+    assert len(report.checks) == 3
 
 
 def test_selftest_cli_reports_checks(capsys, monkeypatch):
@@ -400,7 +407,8 @@ def _break_ell_prime(monkeypatch):
 def test_selftest_fault_injection_names_instance(monkeypatch):
     """Deliberately breaking one oracle must fail the run and name the instance."""
     _break_ell_prime(monkeypatch)
-    report = selftest.run_selftest("quick", names=("theorem3-chi-poc-equals-ell-prime",))
+    _only_checks(monkeypatch, "theorem3-chi-poc-equals-ell-prime")
+    report = selftest.run_selftest("quick")
     assert not report.ok
     failing = report.checks[0]
     assert "chi_poc=" in failing.observed and "n=" in failing.observed
@@ -423,9 +431,9 @@ def test_selftest_exit_code_on_failure(capsys, monkeypatch):
         ("ell_prime_orientations", 10, "theorem3-chi-poc-equals-ell-prime"),
     ],
 )
-def test_selftest_runs_under_the_callers_caps(cap, value, check):
-    caps = oracles.OracleCaps(**{cap: value})
-    report = selftest.run_selftest("quick", caps=caps, names=(check,))
+def test_selftest_runs_under_the_callers_caps(monkeypatch, cap, value, check):
+    _only_checks(monkeypatch, check)
+    report = selftest.run_selftest("quick", caps=oracles.OracleCaps(**{cap: value}))
     (result,) = report.checks
     assert not result.passed
     assert f"cap {cap}={value} exceeded" in result.observed

@@ -313,9 +313,14 @@ def _class_enumerator_problem(edges) -> str | None:
     members = sorted({x for e in edges for x in e})
     intra = sorted(edges)
     listed = oracles_mod._class_options(members, intra, 1, DEFAULT_CAPS)
+    index = {x: i for i, x in enumerate(members)}
+    near = [0] * len(members)
+    for u, v in intra:
+        near[index[u]] |= 1 << index[v]
+        near[index[v]] |= 1 << index[u]
     interned: dict = {}
     # decoded as the search decodes them
-    options = [oracles_mod._option_order(members, option, interned) for option in listed]
+    options = [oracles_mod._option_order(members, reach, near, interned) for reach in listed]
     expected = _stanley_count(len(members), intra)
     if len(options) != expected:
         return f"{len(options)} orientations, |P_G(-1)| = {expected}"
@@ -1052,6 +1057,31 @@ def test_enumerate_graphs_counts_match_known_values():
         34,
         156,
     ]
+
+
+def _reference_canonical_masks(n: int) -> tuple[int, ...]:
+    """Every edge mask on n vertices that no relabelling makes smaller, in
+    ascending order, by a scan over all 2^(n(n-1)/2) masks."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    tables = [
+        tuple(index[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in pairs)
+        for perm in itertools.permutations(range(n))
+    ]
+    masks = []
+    for mask in range(1 << len(pairs)):
+        bits = [i for i in range(len(pairs)) if mask >> i & 1]
+        for table in tables:
+            if sum(1 << table[b] for b in bits) < mask:
+                break
+        else:
+            masks.append(mask)
+    return tuple(masks)
+
+
+def test_canonical_masks_extend_the_smaller_ones_like_the_full_scan():
+    for n in range(1, 7):
+        assert oracles_mod._canonical_masks(n) == _reference_canonical_masks(n), n
 
 
 def test_enumerate_graphs_refuses_n_above_6():
