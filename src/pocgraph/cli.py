@@ -145,6 +145,10 @@ def cmd_oracle(args: argparse.Namespace, caps: OracleCaps) -> int:
             sys.stdout.write(serialize_coloring(witness))
     elif quantity == "chipoc":
         value, witness = oracles.chi_poc_exact(g, caps)
+        violation = poc_engine.first_violation(g, witness) if args.witness else None
+        if violation is not None:
+            _say(f"internal error: chipoc witness fails validation on edge {violation}")
+            return 1
         print(f"chipoc {value}")
         if args.witness:
             sys.stdout.write(serialize_coloring(witness))
@@ -155,6 +159,12 @@ def cmd_oracle(args: argparse.Namespace, caps: OracleCaps) -> int:
             print(f"path {'-'.join(map(str, path))}")
     elif quantity == "ellprime":
         value, witness_d = oracles.ell_prime_orientation(g, caps)
+        if args.witness and not (
+            poc_engine.is_good_acyclic(g, witness_d)
+            and poc_engine.dag_longest_path(witness_d) == value
+        ):
+            _say(f"internal error: ellprime witness is not good acyclic with longest path {value}")
+            return 1
         print(f"ellprime {value}")
         if args.witness:
             sys.stdout.write(serialize_orientation(witness_d))

@@ -25,9 +25,10 @@ A finished class's heights are final, so a partial choice whose heights
 already reach the best value found is pruned, and the search stops at a
 floor every orientation reaches: the forced arcs' longest path, or a clique
 inside one class, which any acyclic orientation puts on one directed path.
-Options are visited in a fixed order, each turned into the order the search
-reads only when first visited, and the witness is the first orientation in
-that order that attains the minimum.
+Options are visited in a fixed order, drawn one at a time when the cap
+cannot bind and listed first when it can, each turned into the order the
+search reads only when first reached, and the witness is the first
+orientation in that order that attains the minimum.
 
 Every search respects a cap from :class:`OracleCaps`; exceeding a cap raises
 :class:`CapExceeded` instead of silently approximating.
@@ -413,28 +414,67 @@ def chi_poc_exact(
 _ClassOption = tuple[tuple[int, tuple[int, ...]], ...]
 
 
+def _most_orientations(m: int, k: int) -> int:
+    """Stanley's bound min(2^k, m!) on the acyclic orientations of a class of
+    m members with k intra edges; 2^k when k < m, since 2^(m-1) <= m!."""
+    return 2**k if k < m else min(2**k, math.factorial(m))
+
+
+def _class_edges(
+    members: list[int], intra: list[tuple[int, int]]
+) -> tuple[int, list[tuple[tuple[int, int], tuple[int, int]]], int, int]:
+    """The set-up both listings of one equal-weight class share.
+
+    A partial orientation is its reachability, one int of m rows of m bits,
+    row x holding the members that x reaches (x included). Returns the
+    empty orientation's reachability; the intra edges in the order they are
+    decided, each as its two arcs (u, v) then (v, u), an arc given as its
+    tail and the first bit of its head's row; and the two masks that
+    ``_orient_edge`` reads. A dense class (2^k > m!) decides edge 0 first,
+    any other class edge k-1 first.
+    """
+    m = len(members)
+    index = {x: i for i, x in enumerate(members)}
+    edges = [((index[u], index[v] * m), (index[v], index[u] * m)) for u, v in intra]
+    if _most_orientations(m, len(intra)) == 2 ** len(intra):  # not dense
+        edges.reverse()
+    empty = sum(1 << (x * m + x) for x in range(m))  # x reaches x
+    firsts = sum(1 << (x * m) for x in range(m))  # bit 0 of every row
+    return empty, edges, firsts, (1 << m) - 1
+
+
+def _orient_edge(
+    reach: int, edge: tuple[tuple[int, int], tuple[int, int]], firsts: int, row: int
+) -> list[int]:
+    """The partial orientation ``reach`` extended by each arc of one intra
+    edge, in order, leaving out an arc whose head already reaches its tail,
+    which would close a cycle. Some arc always remains."""
+    longer = []
+    for tail, head_row in edge:
+        if not reach >> (head_row + tail) & 1:
+            # every row that reaches the tail now reaches all the head reaches
+            longer.append(reach | (reach >> tail & firsts) * (reach >> head_row & row))
+    return longer
+
+
 def _class_options(
     members: list[int],
     intra: list[tuple[int, int]],
     before: int,
     caps: OracleCaps,
 ) -> list[int]:
-    """Every acyclic orientation of one equal-weight class, in search order.
+    """Every acyclic orientation of one equal-weight class, in search order,
+    listed level by level so that the cap can count them.
 
-    The intra edges are decided one at a time, (u, v) before (v, u), and each
-    level extends the partial orientations of the last in their order. A
-    dense class (2^k > m!) decides edge 0 first, so its options come in
-    ascending order of their arc tuples; any other class decides edge k-1
-    first, so its options come in ascending order of the number whose bit i
-    is set when intra edge i is reversed.
-
-    A partial orientation is its reachability, one int of m rows of m bits,
-    row x holding the members that x reaches (x included). An arc whose head
-    already reaches its tail would close a cycle and is never added. The
-    options are these ints: in an acyclic orientation an intra edge {x, y}
-    runs x -> y exactly when x reaches y, so the reachability holds the arcs
-    too, and ``_option_order`` reads them back into the heads-first order
-    that the search reads.
+    The intra edges are decided one at a time in ``_class_edges``' order,
+    (u, v) before (v, u), and each level extends the partial orientations of
+    the last in their order (``_orient_edge``). A dense class's options then
+    come in ascending order of their arc tuples; any other class's in
+    ascending order of the number whose bit i is set when intra edge i is
+    reversed. The options are reachability ints: in an acyclic orientation
+    an intra edge {x, y} runs x -> y exactly when x reaches y, so the
+    reachability holds the arcs too, and ``_option_order`` reads them back
+    into the heads-first order that the search reads.
 
     The cap ``ell_prime_orientations`` bounds ``before``, the product of the
     earlier classes' option counts, times this class's count. A class of m
@@ -449,13 +489,10 @@ def _class_options(
     level, and listing stops at the first level that crosses it. Either
     way a refusal reports at most twice the cap.
     """
-    m = len(members)
-    k = len(intra)
-    index = {x: i for i, x in enumerate(members)}
-    ends = [(index[u], index[v]) for u, v in intra]
-    root = list(range(m))
+    empty, edges, firsts, row = _class_edges(members, intra)
+    root = list(range(len(members)))
     least = before  # doubles with each spanning-forest edge found
-    for a, b in ends:
+    for (a, _), (b, _) in edges:
         while root[a] != a:
             root[a] = root[root[a]]
             a = root[a]
@@ -467,27 +504,34 @@ def _class_options(
             least *= 2
             if least > caps.ell_prime_orientations:
                 raise CapExceeded("ell_prime_orientations", caps.ell_prime_orientations, least)
-    row = (1 << m) - 1
-    shifts = [x * m for x in range(m)]
-    firsts = sum(1 << s for s in shifts)  # bit 0 of every row
-    partial = [sum(1 << (s + x) for x, s in enumerate(shifts))]  # x reaches x
-    dense = 2 ** k > math.factorial(m)
-    for i in range(k) if dense else range(k - 1, -1, -1):
-        a, b = ends[i]
-        longer = []
-        for reach in partial:
-            for tail, head in ((a, b), (b, a)):
-                if reach >> (shifts[head] + tail) & 1:
-                    continue
-                # every row that reaches the tail now reaches all the head reaches
-                gained = (reach >> tail & firsts) * (reach >> shifts[head] & row)
-                longer.append(reach | gained)
-        partial = longer
+    partial = [empty]
+    for edge in edges:
+        partial = [longer for reach in partial for longer in _orient_edge(reach, edge, firsts, row)]
         if len(partial) * before > caps.ell_prime_orientations:
             raise CapExceeded(
                 "ell_prime_orientations", caps.ell_prime_orientations, len(partial) * before
             )
     return partial
+
+
+def _iter_class_options(members: list[int], intra: list[tuple[int, int]]) -> Iterator[int]:
+    """``_class_options``' options of one class, the same ints in the same
+    order, drawn one at a time with no cap: a depth-first walk over the same
+    edge decisions, on an explicit stack so that each option costs the same
+    at every depth. It takes the first arc left at each edge and stacks the
+    other, if any, for later."""
+    empty, edges, firsts, row = _class_edges(members, intra)
+    k = len(edges)
+    stack = [(0, empty)]
+    while stack:
+        i, reach = stack.pop()
+        while i < k:
+            longer = _orient_edge(reach, edges[i], firsts, row)
+            i += 1
+            if len(longer) == 2:
+                stack.append((i, longer[1]))
+            reach = longer[0]
+        yield reach
 
 
 def _option_order(
@@ -564,6 +608,18 @@ def _class_clique_floor(members: list[int], near: list[int], height: Sequence[in
     return bound
 
 
+def _drawn_orders(
+    members: list[int], near: list[int], source: Iterator[int], orders: list[_ClassOption]
+) -> Iterator[_ClassOption]:
+    """Each option of one class that ``source`` still holds, drawn only when
+    asked for, as its heads-first order; each order is also appended to
+    ``orders``, which later visits read instead."""
+    interned: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+    for reach in source:
+        orders.append(_option_order(members, reach, near, interned))
+        yield orders[-1]
+
+
 def ell_prime_orientation(
     g: WeightedGraph, caps: OracleCaps = DEFAULT_CAPS
 ) -> tuple[int, Orientation]:
@@ -589,23 +645,28 @@ def ell_prime_orientation(
     tournament, so K lies on one directed path, and with b the forced-arc
     heights of K's members in ascending order its top has height at least
     max_j (b_j + |K| - 1 - j). The floor is the largest of these. A class's
-    bound is computed only once ``_class_options`` has accepted the class,
-    so the cap bounds that work too.
+    bound is computed only once the class is known to fit the cap, so the
+    cap bounds that work too.
 
-    Every option of a class is listed, since the cap counts them, but an
-    option becomes a heads-first order (``_option_order``) only the first
-    time the search visits it; later visits from other choices of the
-    lighter classes reuse that order.
+    The cap ``ell_prime_orientations`` bounds the candidates, the product of
+    the classes' option counts. A class of m members with k intra edges has
+    at most min(2^k, m!) acyclic orientations (Stanley, "Acyclic
+    orientations of graphs", 1973). When the product of these bounds is
+    within the cap, no class can be refused, and each class draws its
+    options from ``_iter_class_options`` only when the search runs past the
+    ones it has drawn. Otherwise every class is listed and counted by
+    ``_class_options`` before the search, which refuses the instance as that
+    function sets out. Either way an option becomes a heads-first order
+    (``_option_order``) when it is drawn, and later visits from other
+    choices of the lighter classes reuse that order.
 
     Witness contract: candidates are visited in ``itertools.product`` order
     over the classes by ascending weight, each class's options in the order
-    of ``_class_options``, and the witness is the first candidate that
-    attains the minimum. Pruning never skips a candidate that beats the best
-    so far, and the floor is at most the minimum, so the search stops at
-    that first minimal candidate or later: the witness depends on neither.
-
-    The cap ``ell_prime_orientations`` bounds the candidates, the product of
-    the classes' option counts, as they are listed (see ``_class_options``).
+    of ``_class_options``, which ``_iter_class_options`` keeps, and the
+    witness is the first candidate that attains the minimum. Pruning never
+    skips a candidate that beats the best so far, and the floor is at most
+    the minimum, so the search stops at that first minimal candidate or
+    later: the witness depends on neither.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -631,20 +692,35 @@ def ell_prime_orientation(
         height[v] = 1 + max((height[x] for x in lighter[v]), default=0)
     floor = max(height)
 
+    # Each spanning forest and each listing level is at most the product of
+    # the classes' Stanley bounds, so when that is within the cap no class can
+    # be refused and each draws its options as the search reaches them;
+    # otherwise each class is listed, and counted, before the search
+    classes = [
+        (c, sorted({x for e in intra for x in e}), intra)
+        for c, intra in sorted(intra_by_class.items())
+    ]
+    bound = math.prod(_most_orientations(len(members), len(intra)) for _, members, intra in classes)
+    on_demand = bound <= caps.ell_prime_orientations
+
     # A stage: the vertices without intra edges up to and including one
-    # class's weight, that class's members, their intra neighbours, its
-    # options, their orders (each None until first visited) and the pairs
-    # those orders share. A last stage with a single empty order holds the
+    # class's weight, that class's members, the orders of its options drawn
+    # so far, and the rest of them, each drawn only when the search runs past
+    # the end of the orders. A last stage with a single empty order holds the
     # vertices above the heaviest class.
     stages = []
     placed = 0
     product = 1  # candidates so far: the product of the classes' option counts
-    for c, intra in sorted(intra_by_class.items()):
-        members = sorted({x for e in intra for x in e})
+    for c, members, intra in classes:
         upto = placed
         while upto < n and w[by_weight[upto] - 1] <= c:
             upto += 1
-        options = _class_options(members, intra, product, caps)
+        if on_demand:
+            source = _iter_class_options(members, intra)
+        else:
+            options = _class_options(members, intra, product, caps)
+            product *= len(options)
+            source = iter(options)
         index = {x: i for i, x in enumerate(members)}
         near = [0] * len(members)  # each member's intra neighbours, as bits
         for u, v in intra:
@@ -652,11 +728,11 @@ def ell_prime_orientation(
             near[index[v]] |= 1 << index[u]
         floor = max(floor, _class_clique_floor(members, near, height))
         fixed = [(v, lighter[v]) for v in by_weight[placed:upto] if v not in members]
-        product *= len(options)
-        stages.append((fixed, members, near, options, [None] * len(options), {}))
+        orders: list[_ClassOption] = []
+        stages.append((fixed, members, orders, _drawn_orders(members, near, source, orders)))
         placed = upto
     if placed < n:
-        stages.append(([(v, lighter[v]) for v in by_weight[placed:]], [], [], [], [()], {}))
+        stages.append(([(v, lighter[v]) for v in by_weight[placed:]], [], [()], iter(())))
 
     best = n + 1  # above every candidate's value
     best_choice: list[_ClassOption] = []
@@ -666,16 +742,14 @@ def ell_prime_orientation(
     def search(s: int, reached: int) -> bool:
         """Extend the choices below stage s; True once the floor is attained."""
         nonlocal best, best_choice
-        fixed, members, near, options, orders, interned = stages[s]
+        fixed, members, orders, drawn = stages[s]
         for v, heads in fixed:
             height[v] = 1 + max((height[x] for x in heads), default=0)
             reached = max(reached, height[v])
         if reached >= best:
             return False
         base = {v: 1 + max((height[x] for x in lighter[v]), default=0) for v in members}
-        for i, order in enumerate(orders):
-            if order is None:
-                order = orders[i] = _option_order(members, options[i], near, interned)
+        for order in itertools.chain(orders, drawn):
             top = reached
             for v, heads in order:
                 h = base[v]

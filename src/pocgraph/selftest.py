@@ -182,13 +182,20 @@ def check_theorem1(ctx: _Context) -> tuple[str, str]:
 
 def _theorem3_one(ctx: _Context, wg: WeightedGraph) -> None:
     chi_poc, witness = oracles.chi_poc_exact(wg, ctx.caps)
-    lprime = oracles.ell_prime_exact(wg, ctx.caps)
+    lprime, d = oracles.ell_prime_orientation(wg, ctx.caps)
     if chi_poc != lprime:
         raise _Failed(
             f"chi_poc={chi_poc} ell_prime={lprime} on {_tag(wg)}", "chi_poc == ell_prime"
         )
     if not poc_engine.is_valid_poc(wg, witness):
         raise _Failed(f"invalid witness coloring on {_tag(wg)}", "chi_poc == ell_prime")
+    # a good acyclic d with longest dipath ell' bounds chi_POC by a coloring
+    # (greedy along d), so the ell' side is shown by its object too
+    if not poc_engine.is_good_acyclic(wg, d) or poc_engine.dag_longest_path(d) != lprime:
+        raise _Failed(
+            f"ell_prime witness is not good acyclic with longest dipath {lprime} on {_tag(wg)}",
+            "chi_poc == ell_prime",
+        )
     chi = ctx.chi(wg.graph)
     if not chi <= chi_poc <= wg.n:
         raise _Failed(
@@ -488,8 +495,10 @@ def check_greedy_exhaustive(ctx: _Context) -> tuple[str, str]:
     """Greedy POC validity and the longest-path palette bound on every
     weighting of every small graph."""
     count = 0
+    graph = None
     for wg in ctx.weighted(6 if ctx.full else 5):
-        lp = ctx.ell(wg.graph)
+        if wg.graph is not graph:  # one graph's weightings come together
+            graph, lp = wg.graph, ctx.ell(wg.graph)
         coloring = poc_engine.greedy_poc(wg)
         if not poc_engine.is_valid_poc(wg, coloring):
             raise _Failed(f"greedy invalid on {_tag(wg)}", "greedy is a POC")

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from pocgraph import (
+    Coloring,
+    Orientation,
     WeightedGraph,
     cli,
     oracles,
@@ -192,6 +194,34 @@ def test_oracle_chipoc_witness_verifies(capsys, tmp_path, chem_file):
     )
     rc, out, _ = run(capsys, "verify", chem_file, str(witness))
     assert rc == 0
+
+
+@pytest.mark.parametrize("fault", ["reversed arcs", "longest dipath off by one"])
+def test_oracle_ellprime_checks_its_witness_before_printing(capsys, monkeypatch, c4w_file, fault):
+    g = parse_wpoc(fixture_text("C4W"))
+    value, d = oracles.ell_prime_orientation(g)
+    if fault == "reversed arcs":  # every forced arc now runs uphill
+        d = Orientation(g.graph, frozenset((h, t) for t, h in d.arcs))
+    else:
+        value += 1
+    monkeypatch.setattr(oracles, "ell_prime_orientation", lambda g, caps: (value, d))
+    rc, out, err = run(capsys, "oracle", c4w_file, "ellprime", "--witness")
+    assert (rc, out) == (1, "")
+    assert f"internal error: ellprime witness is not good acyclic with longest path {value}" in err
+    rc, out, _ = run(capsys, "oracle", c4w_file, "ellprime")  # no witness, nothing to check
+    assert (rc, out) == (0, f"ellprime {value}\n")
+
+
+def test_oracle_chipoc_checks_its_witness_before_printing(capsys, monkeypatch, c4w_file):
+    g = parse_wpoc(fixture_text("C4W"))
+    flat = Coloring((1,) * g.n, 1)
+    monkeypatch.setattr(oracles, "chi_poc_exact", lambda g, caps: (1, flat))
+    rc, out, err = run(capsys, "oracle", c4w_file, "chipoc", "--witness")
+    assert (rc, out) == (1, "")
+    edge = min(g.graph.edges)
+    assert f"internal error: chipoc witness fails validation on edge {edge}" in err
+    rc, out, _ = run(capsys, "oracle", c4w_file, "chipoc")
+    assert (rc, out) == (0, "chipoc 1\n")
 
 
 def test_oracle_ell_witness_path(capsys, monkeypatch, c4w_file):
@@ -400,8 +430,13 @@ def test_selftest_cli_reports_checks(capsys, monkeypatch):
 
 
 def _break_ell_prime(monkeypatch):
-    real = oracles.ell_prime_exact
-    monkeypatch.setattr(oracles, "ell_prime_exact", lambda g, caps=None: real(g) + 1)
+    real = oracles.ell_prime_orientation
+
+    def off_by_one(g, caps=oracles.DEFAULT_CAPS):
+        value, d = real(g, caps)
+        return value + 1, d
+
+    monkeypatch.setattr(oracles, "ell_prime_orientation", off_by_one)
 
 
 def test_selftest_fault_injection_names_instance(monkeypatch):

@@ -517,18 +517,126 @@ def test_class_clique_floor_is_sound_and_matches_every_clique(monkeypatch):
     assert (above_forced, attained) == (117, 107)
 
 
+def _iter_class_options_problem(edges) -> str | None:
+    members = sorted({x for e in edges for x in e})
+    intra = sorted(edges)
+    listed = oracles_mod._class_options(members, intra, 1, DEFAULT_CAPS)
+    drawn = list(oracles_mod._iter_class_options(members, intra))
+    return None if drawn == listed else f"drew {len(drawn)} options, listed {len(listed)}"
+
+
+def test_iter_class_options_draws_the_listing_in_its_order():
+    """The on-demand walk yields exactly the eager listing's ints, in its order."""
+    dense = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            assert _iter_class_options_problem(g.sorted_edges()) is None, g
+            members = {x for e in g.edges for x in e}
+            dense += 2**g.m > math.factorial(len(members))
+    rng = random.Random(1977)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        p = rng.uniform(0.1, 0.9)
+        edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p]
+        assert _iter_class_options_problem(edges) is None, (n, edges)
+    assert dense > 50  # both edge orders are covered
+
+
+def _spy_draws(monkeypatch) -> list:
+    """Record each option that ``_iter_class_options`` yields, as it yields it."""
+    real = oracles_mod._iter_class_options
+    drawn = []
+
+    def spy(*args):
+        for reach in real(*args):
+            drawn.append(reach)
+            yield reach
+
+    monkeypatch.setattr(oracles_mod, "_iter_class_options", spy)
+    return drawn
+
+
+def _forbid(monkeypatch, *names: str) -> None:
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a forbidden helper ran")
+
+    for name in names:
+        monkeypatch.setattr(oracles_mod, name, forbidden)
+
+
 def test_ell_prime_converts_only_the_options_it_visits(monkeypatch):
-    # K6 with equal weights has 6! = 720 options; its clique bound is 6, which
-    # the first option attains, so the search stops there
-    g = WeightedGraph(complete_graph(6), (1,) * 6)
-    listed = _spy(monkeypatch, "_class_options")
+    # Kn with equal weights has n! options and a clique bound of n, which the
+    # first option attains; n! is within the cap, so nothing is listed and the
+    # search draws and converts that one option and stops
+    _forbid(monkeypatch, "_class_options")
+    drawn = _spy_draws(monkeypatch)
     converted = _spy(monkeypatch, "_option_order")
-    value, witness = ell_prime_orientation(g)
-    assert [len(options) for options in listed] == [720]
-    assert len(converted) == 1
+    for n in (6, 8):
+        g = WeightedGraph(complete_graph(n), (1,) * n)
+        drawn.clear()
+        converted.clear()
+        value, witness = ell_prime_orientation(g)
+        assert len(drawn) == len(converted) == 1
+        if n <= 6:
+            ref = _reference_ell_prime(g)
+            assert (value, witness.arcs) == (ref["value"], ref["arcs"])
+        else:
+            # the reference would scan 2^28 orientations; a dense class's
+            # first option in it is the least arc tuple, every edge run (u, v)
+            assert witness.arcs == g.graph.edges
+        assert value == n
+
+
+def test_ell_prime_lists_a_class_whose_bound_passes_the_cap():
+    # an equal-weight C4 has min(2^4, 4!) = 16 as its bound but 14 acyclic
+    # orientations: under caps of 14 and 15 it is listed, and counted, before
+    # the search, and the answer is the reference's; under 13 it is refused
+    g = WeightedGraph(cycle_graph(4), (1,) * 4)
     ref = _reference_ell_prime(g)
+    for limit in (14, 15):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _forbid(monkeypatch, "_iter_class_options")
+            listed = _spy(monkeypatch, "_class_options")
+            value, witness = ell_prime_orientation(g, OracleCaps(ell_prime_orientations=limit))
+        assert [len(options) for options in listed] == [14]
+        assert (value, witness.arcs) == (ref["value"], ref["arcs"])
+    with pytest.raises(CapExceeded, match="ell_prime_orientations=13 exceeded .instance needs 14"):
+        ell_prime_exact(g, OracleCaps(ell_prime_orientations=13))
+    # at the bound itself every class draws on demand
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _forbid(monkeypatch, "_class_options")
+        value, witness = ell_prime_orientation(g, OracleCaps(ell_prime_orientations=16))
     assert (value, witness.arcs) == (ref["value"], ref["arcs"])
-    assert value == 6
+
+
+def test_ell_prime_matches_the_reference_under_small_caps():
+    """Under caps around each instance's bound, ell' takes either path and
+    answers as the reference does, or refuses exactly when the listed product
+    passes the cap."""
+    rng = random.Random(1978)
+    paths = set()
+    for _ in range(150):
+        g = random_weighted_graph(rng, rng.randint(3, 6), rng.uniform(0.3, 0.9), rng.randint(1, 3))
+        ref = _reference_ell_prime(g)
+        _, classes = _reference_classes(g)
+        counts = [_stanley_count(len({x for e in es for x in e}), es) for es in classes]
+        listed = math.prod(counts)
+        bound = math.prod(
+            min(2 ** len(es), math.factorial(len({x for e in es for x in e}))) for es in classes
+        )
+        for limit in {listed - 1, listed, bound - 1, bound}:
+            if limit < 1:
+                continue
+            caps = OracleCaps(ell_prime_orientations=limit)
+            if listed > limit:
+                with pytest.raises(CapExceeded):
+                    ell_prime_orientation(g, caps)
+                paths.add("refused")
+                continue
+            value, witness = ell_prime_orientation(g, caps)
+            assert (value, witness.arcs) == (ref["value"], ref["arcs"]), (g, limit)
+            paths.add("on demand" if bound <= limit else "listed")
+    assert paths == {"refused", "on demand", "listed"}
 
 
 # ---------------------------------------------------------------------------
@@ -1258,7 +1366,10 @@ def test_chi_poc_never_runs_the_ell_prime_search(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("chi_POC ran the ell' search's code")
 
-    for name in ("_class_options", "_option_order", "_class_clique_floor", "ell_prime_orientation"):
+    for name in (
+        "_class_options", "_iter_class_options", "_option_order", "_class_clique_floor",
+        "ell_prime_orientation",
+    ):
         monkeypatch.setattr(oracles_mod, name, forbidden)
     with pytest.raises(AssertionError, match="ell' search's code"):
         oracles_mod.ell_prime_orientation(cases[0][0])
