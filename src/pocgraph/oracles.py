@@ -414,33 +414,35 @@ def chi_poc_exact(
 _ClassOption = tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _most_orientations(m: int, k: int) -> int:
-    """Stanley's bound min(2^k, m!) on the acyclic orientations of a class of
-    m members with k intra edges; 2^k when k < m, since 2^(m-1) <= m!."""
-    return 2**k if k < m else min(2**k, math.factorial(m))
-
-
 def _class_edges(
     members: list[int], intra: list[tuple[int, int]]
-) -> tuple[int, list[tuple[tuple[int, int], tuple[int, int]]], int, int]:
-    """The set-up both listings of one equal-weight class share.
-
-    A partial orientation is its reachability, one int of m rows of m bits,
-    row x holding the members that x reaches (x included). Returns the
-    empty orientation's reachability; the intra edges in the order they are
-    decided, each as its two arcs (u, v) then (v, u), an arc given as its
-    tail and the first bit of its head's row; and the two masks that
-    ``_orient_edge`` reads. A dense class (2^k > m!) decides edge 0 first,
-    any other class edge k-1 first.
+) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The intra edges of one equal-weight class in the order both listings
+    decide them, each as its two arcs (u, v) then (v, u), an arc given as its
+    tail and the first bit of its head's row (see ``_no_arcs``). A dense
+    class (2^k > m!) decides edge 0 first, any other class edge k-1 first.
     """
     m = len(members)
     index = {x: i for i, x in enumerate(members)}
     edges = [((index[u], index[v] * m), (index[v], index[u] * m)) for u, v in intra]
-    if _most_orientations(m, len(intra)) == 2 ** len(intra):  # not dense
+    dense = 2 ** len(intra) > math.factorial(m)
+    if not dense:
         edges.reverse()
+    return edges
+
+
+def _no_arcs(m: int) -> tuple[int, int, int]:
+    """The orientation of a class of m members with no arc decided yet, and
+    the two masks that ``_orient_edge`` reads.
+
+    A partial orientation is its reachability, one int of m rows of m bits,
+    row x holding the members that x reaches (x included). These ints have
+    m^2 bits, so a class that may be refused is counted before they are
+    built.
+    """
     empty = sum(1 << (x * m + x) for x in range(m))  # x reaches x
     firsts = sum(1 << (x * m) for x in range(m))  # bit 0 of every row
-    return empty, edges, firsts, (1 << m) - 1
+    return empty, firsts, (1 << m) - 1
 
 
 def _orient_edge(
@@ -489,7 +491,7 @@ def _class_options(
     level, and listing stops at the first level that crosses it. Either
     way a refusal reports at most twice the cap.
     """
-    empty, edges, firsts, row = _class_edges(members, intra)
+    edges = _class_edges(members, intra)
     root = list(range(len(members)))
     least = before  # doubles with each spanning-forest edge found
     for (a, _), (b, _) in edges:
@@ -504,6 +506,7 @@ def _class_options(
             least *= 2
             if least > caps.ell_prime_orientations:
                 raise CapExceeded("ell_prime_orientations", caps.ell_prime_orientations, least)
+    empty, firsts, row = _no_arcs(len(members))
     partial = [empty]
     for edge in edges:
         partial = [longer for reach in partial for longer in _orient_edge(reach, edge, firsts, row)]
@@ -520,7 +523,8 @@ def _iter_class_options(members: list[int], intra: list[tuple[int, int]]) -> Ite
     edge decisions, on an explicit stack so that each option costs the same
     at every depth. It takes the first arc left at each edge and stacks the
     other, if any, for later."""
-    empty, edges, firsts, row = _class_edges(members, intra)
+    edges = _class_edges(members, intra)
+    empty, firsts, row = _no_arcs(len(members))
     k = len(edges)
     stack = [(0, empty)]
     while stack:
@@ -700,7 +704,9 @@ def ell_prime_orientation(
         (c, sorted({x for e in intra for x in e}), intra)
         for c, intra in sorted(intra_by_class.items())
     ]
-    bound = math.prod(_most_orientations(len(members), len(intra)) for _, members, intra in classes)
+    bound = math.prod(
+        min(2 ** len(intra), math.factorial(len(members))) for _, members, intra in classes
+    )
     on_demand = bound <= caps.ell_prime_orientations
 
     # A stage: the vertices without intra edges up to and including one
@@ -774,7 +780,8 @@ def ell_prime_orientation(
 
     search(0, 0)
     # search reaches itself through its closure; dropping the name frees the
-    # stages' options now, not at the next cyclic collection
+    # stages' drawn orders and their generators now, not at the next cyclic
+    # collection
     del search
     arcs = set(forced)
     arcs.update((v, h) for order in best_choice for v, heads in order for h in heads)

@@ -241,10 +241,12 @@ def test_ell_prime_cap():
         ell_prime_exact(p4, OracleCaps(ell_prime_orientations=7))
 
 
-@pytest.mark.parametrize("n", [18, 40])
-def test_ell_prime_cap_counts_a_spanning_forest_first(n):
+@pytest.mark.parametrize("n", [18, 40, 2000])
+def test_ell_prime_cap_counts_a_spanning_forest_first(n, monkeypatch):
     # an equal-weight path on n vertices is its own spanning tree, with
-    # 2^(n-1) orientations; counting its edges stops at the first past the cap
+    # 2^(n-1) orientations; counting its edges stops at the first past the
+    # cap, before the class's n^2-bit orientation masks are built
+    _forbid(monkeypatch, "_no_arcs")
     limit = DEFAULT_CAPS.ell_prime_orientations
     with pytest.raises(CapExceeded, match="ell_prime_orientations") as info:
         ell_prime_exact(WeightedGraph(path_graph(n), (1,) * n))

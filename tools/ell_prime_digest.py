@@ -1,10 +1,10 @@
 """Digest of ell' over a fixed instance family, for comparing two source trees.
 
-Usage: python tools/ell_prime_digest.py SOURCE_ROOT [--seed 7] [--graphs 3000]
+Usage: python tools/ell_prime_digest.py SOURCE_ROOT
 
 SOURCE_ROOT is a checkout of this repository; its ``src/pocgraph`` is the
 package run. The instances are every weighting (up to order) of every graph
-with n <= 5, then ``--graphs`` seeded G(n, p) instances with n <= 9 and
+with n <= 5, then ``GRAPHS`` G(n, p) instances seeded with ``SEED``, n <= 9,
 weights in 1..t, t <= 4, each run under the default caps and under a random
 ``ell_prime_orientations`` cap of 1-1000. Each run gives one line: the
 value and the sorted witness arcs, or the ``CapExceeded`` message. The
@@ -23,12 +23,13 @@ import random
 import sys
 from pathlib import Path
 
+SEED = 7
+GRAPHS = 3000
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("root", type=Path, help="source root holding src/pocgraph")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--graphs", type=int, default=3000)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.root.resolve() / "src"))
     import pocgraph
@@ -53,8 +54,8 @@ def main(argv: list[str] | None = None) -> int:
         for graph in oracles.enumerate_graphs(n):
             for weights in weightings:
                 record(pocgraph.WeightedGraph(graph, weights), oracles.DEFAULT_CAPS)
-    rng = random.Random(args.seed)
-    for _ in range(args.graphs):
+    rng = random.Random(SEED)
+    for _ in range(GRAPHS):
         n = rng.randint(1, 9)
         g = pocgraph.random_weighted_graph(rng, n, rng.random(), rng.randint(1, 4))
         record(g, oracles.DEFAULT_CAPS)
