@@ -140,6 +140,12 @@ def cmd_oracle(args: argparse.Namespace, caps: OracleCaps) -> int:
     quantity = args.quantity
     if quantity == "chi":
         witness = oracles.proper_coloring_exact(g.graph)
+        # a proper coloring is a POC of the graph with every weight equal
+        equal = WeightedGraph(g.graph, (1,) * g.n)
+        violation = poc_engine.first_violation(equal, witness) if args.witness else None
+        if violation is not None:
+            _say(f"internal error: chi witness fails validation on edge {violation}")
+            return 1
         print(f"chi {witness.palette}")
         if args.witness:
             sys.stdout.write(serialize_coloring(witness))
@@ -154,6 +160,10 @@ def cmd_oracle(args: argparse.Namespace, caps: OracleCaps) -> int:
             sys.stdout.write(serialize_coloring(witness))
     elif quantity == "ell":
         path = oracles.longest_path_witness(g.graph, caps)
+        # the value printed is the witness's length, so the path is all to check
+        if args.witness and not poc_engine.is_simple_path(g.graph, path):
+            _say(f"internal error: ell witness {path} is not a simple path of the graph")
+            return 1
         print(f"ell {len(path)}")
         if args.witness:
             print(f"path {'-'.join(map(str, path))}")

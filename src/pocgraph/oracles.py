@@ -25,10 +25,10 @@ A finished class's heights are final, so a partial choice whose heights
 already reach the best value found is pruned, and the search stops at a
 floor every orientation reaches: the forced arcs' longest path, or a clique
 inside one class, which any acyclic orientation puts on one directed path.
-Options are visited in a fixed order, drawn one at a time when the cap
-cannot bind and listed first when it can, each turned into the order the
-search reads only when first reached, and the witness is the first
-orientation in that order that attains the minimum.
+Options are drawn one at a time in a fixed order, each turned into the
+order the search reads only when first reached, and the witness is the first
+orientation in that order that attains the minimum. When the cap can bind,
+each class is first counted by walking the same options.
 
 Every search respects a cap from :class:`OracleCaps`; exceeding a cap raises
 :class:`CapExceeded` instead of silently approximating.
@@ -417,10 +417,11 @@ _ClassOption = tuple[tuple[int, tuple[int, ...]], ...]
 def _class_edges(
     members: list[int], intra: list[tuple[int, int]]
 ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """The intra edges of one equal-weight class in the order both listings
-    decide them, each as its two arcs (u, v) then (v, u), an arc given as its
-    tail and the first bit of its head's row (see ``_no_arcs``). A dense
-    class (2^k > m!) decides edge 0 first, any other class edge k-1 first.
+    """The intra edges of one equal-weight class in the order that
+    ``_class_options`` decides them, each as its two arcs (u, v) then
+    (v, u), an arc given as its tail and the first bit of its head's row (see
+    ``_no_arcs``). A dense class (2^k > m!) decides edge 0 first, any other
+    class edge k-1 first.
     """
     m = len(members)
     index = {x: i for i, x in enumerate(members)}
@@ -459,70 +460,22 @@ def _orient_edge(
     return longer
 
 
-def _class_options(
-    members: list[int],
-    intra: list[tuple[int, int]],
-    before: int,
-    caps: OracleCaps,
-) -> list[int]:
+def _class_options(members: list[int], intra: list[tuple[int, int]]) -> Iterator[int]:
     """Every acyclic orientation of one equal-weight class, in search order,
-    listed level by level so that the cap can count them.
+    drawn one at a time with no cap.
 
     The intra edges are decided one at a time in ``_class_edges``' order,
-    (u, v) before (v, u), and each level extends the partial orientations of
-    the last in their order (``_orient_edge``). A dense class's options then
-    come in ascending order of their arc tuples; any other class's in
-    ascending order of the number whose bit i is set when intra edge i is
-    reversed. The options are reachability ints: in an acyclic orientation
-    an intra edge {x, y} runs x -> y exactly when x reaches y, so the
-    reachability holds the arcs too, and ``_option_order`` reads them back
-    into the heads-first order that the search reads.
-
-    The cap ``ell_prime_orientations`` bounds ``before``, the product of the
-    earlier classes' option counts, times this class's count. A class of m
-    members in c components has a spanning forest of m - c edges, each of
-    whose 2^(m-c) orientations extends to a different acyclic orientation,
-    so the forest's edges are counted first and the class is refused,
-    before anything is listed, at the first edge that takes ``before`` times
-    2^edges past the cap; under the default, every listed class has
-    m - c <= 16 and, with two members or more per component, m <= 32.
-    Every partial orientation has an acyclic extension, so their number
-    never shrinks from one level to the next: the cap is checked after each
-    level, and listing stops at the first level that crosses it. Either
-    way a refusal reports at most twice the cap.
+    (u, v) before (v, u), leaving out an arc that would close a cycle
+    (``_orient_edge``). The walk is depth-first on an explicit stack, so that
+    each option costs the same at every depth: it takes the first arc left
+    at each edge and stacks the other, if any, for later. A dense class's
+    options then come in ascending order of their arc tuples; any other
+    class's in ascending order of the number whose bit i is set when intra
+    edge i is reversed. The options are reachability ints: in an acyclic
+    orientation an intra edge {x, y} runs x -> y exactly when x reaches y,
+    so the reachability holds the arcs too, and ``_option_order`` reads them
+    back into the heads-first order that the search reads.
     """
-    edges = _class_edges(members, intra)
-    root = list(range(len(members)))
-    least = before  # doubles with each spanning-forest edge found
-    for (a, _), (b, _) in edges:
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        while root[b] != b:
-            root[b] = root[root[b]]
-            b = root[b]
-        if a != b:
-            root[a] = b
-            least *= 2
-            if least > caps.ell_prime_orientations:
-                raise CapExceeded("ell_prime_orientations", caps.ell_prime_orientations, least)
-    empty, firsts, row = _no_arcs(len(members))
-    partial = [empty]
-    for edge in edges:
-        partial = [longer for reach in partial for longer in _orient_edge(reach, edge, firsts, row)]
-        if len(partial) * before > caps.ell_prime_orientations:
-            raise CapExceeded(
-                "ell_prime_orientations", caps.ell_prime_orientations, len(partial) * before
-            )
-    return partial
-
-
-def _iter_class_options(members: list[int], intra: list[tuple[int, int]]) -> Iterator[int]:
-    """``_class_options``' options of one class, the same ints in the same
-    order, drawn one at a time with no cap: a depth-first walk over the same
-    edge decisions, on an explicit stack so that each option costs the same
-    at every depth. It takes the first arc left at each edge and stacks the
-    other, if any, for later."""
     edges = _class_edges(members, intra)
     empty, firsts, row = _no_arcs(len(members))
     k = len(edges)
@@ -536,6 +489,45 @@ def _iter_class_options(members: list[int], intra: list[tuple[int, int]]) -> Ite
                 stack.append((i, longer[1]))
             reach = longer[0]
         yield reach
+
+
+def _class_count(
+    members: list[int], intra: list[tuple[int, int]], before: int, caps: OracleCaps
+) -> int:
+    """The number of ``_class_options``' options of one class, or
+    ``CapExceeded`` once ``before``, the product of the earlier classes'
+    counts, times this class's count passes ``ell_prime_orientations``.
+
+    A class of m members in c components has a spanning forest of m - c
+    edges, each of whose 2^(m-c) orientations extends to a different acyclic
+    orientation, so the forest's edges are counted first and the class is
+    refused, before any orientation is built, at the first edge that takes
+    ``before`` times 2^edges past the cap; under the default, every walked
+    class has m - c <= 16 and, with two members or more per component,
+    m <= 32. The options are then counted as they are drawn, and the class
+    is refused at the first count that takes the product past the cap.
+    Either way a refusal reports at most twice the cap.
+    """
+    root = list(range(len(members)))
+    least = before  # doubles with each spanning-forest edge found
+    for (a, _), (b, _) in _class_edges(members, intra):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        while root[b] != b:
+            root[b] = root[root[b]]
+            b = root[b]
+        if a != b:
+            root[a] = b
+            least *= 2
+            if least > caps.ell_prime_orientations:
+                raise CapExceeded("ell_prime_orientations", caps.ell_prime_orientations, least)
+    count = 0
+    for _ in _class_options(members, intra):
+        count += 1
+        if before * count > caps.ell_prime_orientations:
+            raise CapExceeded("ell_prime_orientations", caps.ell_prime_orientations, before * count)
+    return count
 
 
 def _option_order(
@@ -613,13 +605,13 @@ def _class_clique_floor(members: list[int], near: list[int], height: Sequence[in
 
 
 def _drawn_orders(
-    members: list[int], near: list[int], source: Iterator[int], orders: list[_ClassOption]
+    members: list[int], intra: list[tuple[int, int]], near: list[int], orders: list[_ClassOption]
 ) -> Iterator[_ClassOption]:
-    """Each option of one class that ``source`` still holds, drawn only when
-    asked for, as its heads-first order; each order is also appended to
-    ``orders``, which later visits read instead."""
+    """Each option of one class, drawn only when asked for, as its
+    heads-first order; each order is also appended to ``orders``, which
+    later visits read instead."""
     interned: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for reach in source:
+    for reach in _class_options(members, intra):
         orders.append(_option_order(members, reach, near, interned))
         yield orders[-1]
 
@@ -655,22 +647,21 @@ def ell_prime_orientation(
     The cap ``ell_prime_orientations`` bounds the candidates, the product of
     the classes' option counts. A class of m members with k intra edges has
     at most min(2^k, m!) acyclic orientations (Stanley, "Acyclic
-    orientations of graphs", 1973). When the product of these bounds is
-    within the cap, no class can be refused, and each class draws its
-    options from ``_iter_class_options`` only when the search runs past the
-    ones it has drawn. Otherwise every class is listed and counted by
-    ``_class_options`` before the search, which refuses the instance as that
-    function sets out. Either way an option becomes a heads-first order
-    (``_option_order``) when it is drawn, and later visits from other
-    choices of the lighter classes reuse that order.
+    orientations of graphs", 1973). When the product of these bounds passes
+    the cap, each class is counted before the search by ``_class_count``,
+    which refuses the instance as that function sets out; otherwise no class
+    can be refused and nothing is counted. Each class draws its options
+    from ``_class_options`` only when the search runs past the ones it has
+    drawn, and an option becomes a heads-first order (``_option_order``)
+    when it is drawn; later visits from other choices of the lighter
+    classes reuse that order.
 
     Witness contract: candidates are visited in ``itertools.product`` order
     over the classes by ascending weight, each class's options in the order
-    of ``_class_options``, which ``_iter_class_options`` keeps, and the
-    witness is the first candidate that attains the minimum. Pruning never
-    skips a candidate that beats the best so far, and the floor is at most
-    the minimum, so the search stops at that first minimal candidate or
-    later: the witness depends on neither.
+    of ``_class_options``, and the witness is the first candidate that
+    attains the minimum. Pruning never skips a candidate that beats the best
+    so far, and the floor is at most the minimum, so the search stops at
+    that first minimal candidate or later: the witness depends on neither.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -696,10 +687,8 @@ def ell_prime_orientation(
         height[v] = 1 + max((height[x] for x in lighter[v]), default=0)
     floor = max(height)
 
-    # Each spanning forest and each listing level is at most the product of
-    # the classes' Stanley bounds, so when that is within the cap no class can
-    # be refused and each draws its options as the search reaches them;
-    # otherwise each class is listed, and counted, before the search
+    # Each class's count is at most its Stanley bound, so when the product of
+    # the bounds is within the cap no class can be refused and none is counted
     classes = [
         (c, sorted({x for e in intra for x in e}), intra)
         for c, intra in sorted(intra_by_class.items())
@@ -707,7 +696,6 @@ def ell_prime_orientation(
     bound = math.prod(
         min(2 ** len(intra), math.factorial(len(members))) for _, members, intra in classes
     )
-    on_demand = bound <= caps.ell_prime_orientations
 
     # A stage: the vertices without intra edges up to and including one
     # class's weight, that class's members, the orders of its options drawn
@@ -716,17 +704,13 @@ def ell_prime_orientation(
     # vertices above the heaviest class.
     stages = []
     placed = 0
-    product = 1  # candidates so far: the product of the classes' option counts
+    product = 1  # the product of the option counts of the classes counted so far
     for c, members, intra in classes:
         upto = placed
         while upto < n and w[by_weight[upto] - 1] <= c:
             upto += 1
-        if on_demand:
-            source = _iter_class_options(members, intra)
-        else:
-            options = _class_options(members, intra, product, caps)
-            product *= len(options)
-            source = iter(options)
+        if bound > caps.ell_prime_orientations:
+            product *= _class_count(members, intra, product, caps)
         index = {x: i for i, x in enumerate(members)}
         near = [0] * len(members)  # each member's intra neighbours, as bits
         for u, v in intra:
@@ -735,7 +719,7 @@ def ell_prime_orientation(
         floor = max(floor, _class_clique_floor(members, near, height))
         fixed = [(v, lighter[v]) for v in by_weight[placed:upto] if v not in members]
         orders: list[_ClassOption] = []
-        stages.append((fixed, members, orders, _drawn_orders(members, near, source, orders)))
+        stages.append((fixed, members, orders, _drawn_orders(members, intra, near, orders)))
         placed = upto
     if placed < n:
         stages.append(([(v, lighter[v]) for v in by_weight[placed:]], [], [()], iter(())))

@@ -51,6 +51,15 @@ def is_valid_poc(g: WeightedGraph, c: Coloring) -> bool:
     return next(_violations(g, c), None) is None
 
 
+def is_simple_path(g: Graph, path: Sequence[int]) -> bool:
+    """True iff ``path`` lists distinct vertices of g, each adjacent to the next."""
+    return (
+        len(set(path)) == len(path)
+        and all(1 <= v <= g.n for v in path)
+        and all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
+    )
+
+
 def _weight_order(g: WeightedGraph) -> list[int]:
     """Vertices in non-decreasing weight order, equal weights by ascending id."""
     # the sort is stable, so equal weights keep the ascending ids of the range

@@ -64,17 +64,18 @@ class RunReport:
 
 
 class _Context:
-    """One run's scale and caps, its families of graphs, and f, chi and ell
-    of each graph, each computed once per run: several checks read the same
-    values, and a memo lookup is cheapest when its graph is the very object
-    it was computed for."""
+    """One run's scale and caps, its families of graphs, and f with a
+    weighting that attains it, chi and a longest path of each graph, each
+    computed once per run: several checks read the same values, and a memo
+    lookup is cheapest when its graph is the very object it was computed
+    for."""
 
     def __init__(self, scale: str, caps: OracleCaps) -> None:
         self.scale, self.caps, self.full = scale, caps, scale == "full"
         self._of_order = cache(lambda n: tuple(oracles.enumerate_graphs(n)))
-        self.f = cache(lambda g: oracles.f_exact(g, caps))
+        self.f = cache(lambda g: oracles.f_argmax(g, caps))
         self.chi = cache(lambda g: oracles.chromatic_number(g))
-        self.ell = cache(lambda g: oracles.longest_path_exact(g, caps))
+        self.path = cache(lambda g: oracles.longest_path_witness(g, caps))
 
     def graphs(self, nmax: int) -> Iterator[Graph]:
         """Every graph with 1 <= n <= nmax vertices, up to isomorphism."""
@@ -169,13 +170,29 @@ def check_chem_fixture(ctx: _Context) -> tuple[str, str]:
 
 
 def check_theorem1(ctx: _Context) -> tuple[str, str]:
-    """f(G) equals the order of a longest path, over all graphs up to iso."""
+    """f(G) equals the order of a longest path, over all graphs up to iso.
+    Each side is shown by its object: the weighting that attains f, solved
+    again, and the path, walked edge by edge."""
     nmax = 6 if ctx.full else 5
     count = 0
     for g in ctx.graphs(nmax):
-        f, lp = ctx.f(g), ctx.ell(g)
-        if f != lp:
-            raise _Failed(f"f={f} longest_path={lp} on {_graph_tag(g)}", "f == longest_path")
+        (f, weights), path = ctx.f(g), ctx.path(g)
+        if not poc_engine.is_simple_path(g, path):
+            raise _Failed(
+                f"longest path witness {path} is not a simple path of {_graph_tag(g)}",
+                "f == longest_path",
+            )
+        if f != len(path):
+            raise _Failed(
+                f"f={f} longest_path={len(path)} on {_graph_tag(g)}", "f == longest_path"
+            )
+        wg = WeightedGraph(g, weights)
+        chi_poc, coloring = oracles.chi_poc_exact(wg, ctx.caps)
+        if chi_poc != f or not poc_engine.is_valid_poc(wg, coloring):
+            raise _Failed(
+                f"f_argmax weighting gives chi_poc={chi_poc}, not f={f}, on {_tag(wg)}",
+                "f == longest_path",
+            )
         count += 1
     return f"f == longest_path on {count} graphs (n <= {nmax})", "f == longest_path"
 
@@ -396,7 +413,7 @@ def check_algorithm_bounds(ctx: _Context) -> tuple[str, str]:
         greedy = poc_engine.greedy_poc(wg)
         if not poc_engine.is_valid_poc(wg, greedy):
             raise _Failed(f"greedy invalid on {_tag(wg)}", "greedy is a POC")
-        lp = ctx.ell(wg.graph)
+        lp = len(ctx.path(wg.graph))
         if greedy.palette > lp:
             raise _Failed(
                 f"greedy palette={greedy.palette} > longest_path={lp} on {_tag(wg)}",
@@ -428,7 +445,7 @@ def check_hamiltonian_corollary(ctx: _Context) -> tuple[str, str]:
     nmax = 6 if ctx.full else 5
     count = 0
     for g in ctx.graphs(nmax):
-        f = ctx.f(g)
+        f = ctx.f(g)[0]
         ham = oracles.has_hamiltonian_path(g)
         if (f == g.n) != ham:
             raise _Failed(
@@ -498,7 +515,7 @@ def check_greedy_exhaustive(ctx: _Context) -> tuple[str, str]:
     graph = None
     for wg in ctx.weighted(6 if ctx.full else 5):
         if wg.graph is not graph:  # one graph's weightings come together
-            graph, lp = wg.graph, ctx.ell(wg.graph)
+            graph, lp = wg.graph, len(ctx.path(wg.graph))
         coloring = poc_engine.greedy_poc(wg)
         if not poc_engine.is_valid_poc(wg, coloring):
             raise _Failed(f"greedy invalid on {_tag(wg)}", "greedy is a POC")

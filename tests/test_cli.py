@@ -224,6 +224,27 @@ def test_oracle_chipoc_checks_its_witness_before_printing(capsys, monkeypatch, c
     assert (rc, out) == (0, "chipoc 1\n")
 
 
+def test_oracle_chi_checks_its_witness_before_printing(capsys, monkeypatch, c4w_file):
+    flat = Coloring((1,) * 4, 1)
+    monkeypatch.setattr(oracles, "proper_coloring_exact", lambda g: flat)
+    rc, out, err = run(capsys, "oracle", c4w_file, "chi", "--witness")
+    assert (rc, out) == (1, "")
+    assert "internal error: chi witness fails validation on edge (1, 2)" in err
+    rc, out, _ = run(capsys, "oracle", c4w_file, "chi")
+    assert (rc, out) == (0, "chi 1\n")
+
+
+@pytest.mark.parametrize("path", [(1, 2, 1), (2, 1, 4), (4, 3, 5)])
+def test_oracle_ell_checks_its_witness_before_printing(capsys, monkeypatch, c4w_file, path):
+    # a repeated vertex, a missing edge 1-4, and a vertex C4W does not have
+    monkeypatch.setattr(oracles, "longest_path_witness", lambda g, caps: path)
+    rc, out, err = run(capsys, "oracle", c4w_file, "ell", "--witness")
+    assert (rc, out) == (1, "")
+    assert f"internal error: ell witness {path} is not a simple path of the graph" in err
+    rc, out, _ = run(capsys, "oracle", c4w_file, "ell")
+    assert (rc, out) == (0, "ell 3\n")
+
+
 def test_oracle_ell_witness_path(capsys, monkeypatch, c4w_file):
     real = oracles.longest_path_witness
     calls = []
@@ -456,6 +477,30 @@ def test_selftest_exit_code_on_failure(capsys, monkeypatch):
     assert rc == 1
     assert "fail theorem3-chi-poc-equals-ell-prime" in out
     assert "n=" in out  # the failing instance is named
+
+
+def test_selftest_theorem1_checks_both_witnesses(monkeypatch):
+    """f's weighting is solved again and the longest path is walked, so a
+    wrong witness fails theorem1 even where f and ell agree."""
+    real_f, real_path = oracles.f_argmax, oracles.longest_path_witness
+    _only_checks(monkeypatch, "theorem1-f-equals-longest-path")
+    with monkeypatch.context() as patch:
+        # all weights equal give chi(G), below f on the path P3
+        patch.setattr(oracles, "f_argmax", lambda g, caps: (real_f(g, caps)[0], (1,) * g.n))
+        (result,) = selftest.run_selftest("quick").checks
+    assert not result.passed
+    assert result.observed == (
+        "f_argmax weighting gives chi_poc=2, not f=3, on n=3 w=1,1,1 e=1-2,1-3"
+    )
+    with monkeypatch.context() as patch:
+        # as long as the path, but its first vertex repeated
+        patch.setattr(
+            oracles, "longest_path_witness", lambda g, caps: real_path(g, caps)[:1] * g.n
+        )
+        (result,) = selftest.run_selftest("quick").checks
+    assert not result.passed
+    assert result.observed == "longest path witness (1, 1) is not a simple path of n=2 e=-"
+    assert selftest.run_selftest("quick").ok
 
 
 @pytest.mark.parametrize(

@@ -256,11 +256,11 @@ def test_ell_prime_cap_counts_a_spanning_forest_first(n, monkeypatch):
 
 def test_ell_prime_cap_stops_listing_early():
     # K9 has 9! = 362 880 orientations but a spanning tree of 8 edges (2^8),
-    # so its listing starts; it stops at the first level past the cap
+    # so its count starts; it stops at the first option past the cap
     limit = DEFAULT_CAPS.ell_prime_orientations
     with pytest.raises(CapExceeded, match="ell_prime_orientations") as info:
         ell_prime_exact(WeightedGraph(complete_graph(9), (1,) * 9))
-    assert limit < info.value.actual <= 2 * limit
+    assert info.value.actual == limit + 1
 
 
 def test_ell_prime_cap_bounds_the_product_over_classes():
@@ -314,7 +314,8 @@ def _stanley_count(k: int, edges) -> int:
 def _class_enumerator_problem(edges) -> str | None:
     members = sorted({x for e in edges for x in e})
     intra = sorted(edges)
-    listed = oracles_mod._class_options(members, intra, 1, DEFAULT_CAPS)
+    listed = list(oracles_mod._class_options(members, intra))
+    counted = oracles_mod._class_count(members, intra, 1, DEFAULT_CAPS)
     index = {x: i for i, x in enumerate(members)}
     near = [0] * len(members)
     for u, v in intra:
@@ -326,6 +327,8 @@ def _class_enumerator_problem(edges) -> str | None:
     expected = _stanley_count(len(members), intra)
     if len(options) != expected:
         return f"{len(options)} orientations, |P_G(-1)| = {expected}"
+    if counted != expected:
+        return f"counted {counted} orientations, |P_G(-1)| = {expected}"
     if len(set(options)) != len(options):
         return "an orientation repeats"
     for order in options:
@@ -519,34 +522,53 @@ def test_class_clique_floor_is_sound_and_matches_every_clique(monkeypatch):
     assert (above_forced, attained) == (117, 107)
 
 
-def _iter_class_options_problem(edges) -> str | None:
-    members = sorted({x for e in edges for x in e})
-    intra = sorted(edges)
-    listed = oracles_mod._class_options(members, intra, 1, DEFAULT_CAPS)
-    drawn = list(oracles_mod._iter_class_options(members, intra))
-    return None if drawn == listed else f"drew {len(drawn)} options, listed {len(listed)}"
+def _listing_spec(members: list[int], intra: list[tuple[int, int]]) -> list[int]:
+    """The acyclic orientations of one class in the listing's documented
+    order, as reachability ints (row x, bit y set when x reaches y, by
+    position in ``members``), found by trying all 2^k arc choices: a dense
+    class (2^k > m!) sorted by arc tuple, any other by the bitmask of its
+    reversed edges."""
+    m, k = len(members), len(intra)
+    index = {x: i for i, x in enumerate(members)}
+    found = []
+    for mask in range(2**k):
+        arcs = tuple((v, u) if mask >> i & 1 else (u, v) for i, (u, v) in enumerate(intra))
+        rows = [1 << x for x in range(m)]
+        for t, h in arcs:
+            rows[index[t]] |= 1 << index[h]
+        for y in range(m):  # Warshall's transitive closure
+            for x in range(m):
+                if rows[x] >> y & 1:
+                    rows[x] |= rows[y]
+        if any(rows[index[h]] >> index[t] & 1 for t, h in arcs):
+            continue  # a cycle
+        reach = sum(rows[x] << (x * m) for x in range(m))
+        found.append((arcs if 2**k > math.factorial(m) else mask, reach))
+    return [reach for _, reach in sorted(found)]
 
 
 def test_iter_class_options_draws_the_listing_in_its_order():
-    """The on-demand walk yields exactly the eager listing's ints, in its order."""
-    dense = 0
-    for n in range(1, 7):
-        for g in enumerate_graphs(n):
-            assert _iter_class_options_problem(g.sorted_edges()) is None, g
-            members = {x for e in g.edges for x in e}
-            dense += 2**g.m > math.factorial(len(members))
+    """The listing yields exactly the acyclic orientations, in its documented order."""
+    classes = [g.sorted_edges() for n in range(1, 7) for g in enumerate_graphs(n)]
     rng = random.Random(1977)
     for _ in range(300):
         n = rng.randint(2, 8)
         p = rng.uniform(0.1, 0.9)
-        edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p]
-        assert _iter_class_options_problem(edges) is None, (n, edges)
+        intra = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p]
+        if len(intra) <= 10:  # the spec tries all 2^k arc choices
+            classes.append(intra)
+    dense = 0
+    for intra in classes:
+        members = sorted({x for e in intra for x in e})
+        listed = list(oracles_mod._class_options(members, intra))
+        assert listed == _listing_spec(members, intra), intra
+        dense += 2 ** len(intra) > math.factorial(len(members))
     assert dense > 50  # both edge orders are covered
 
 
 def _spy_draws(monkeypatch) -> list:
-    """Record each option that ``_iter_class_options`` yields, as it yields it."""
-    real = oracles_mod._iter_class_options
+    """Record each option that ``_class_options`` yields, as it yields it."""
+    real = oracles_mod._class_options
     drawn = []
 
     def spy(*args):
@@ -554,7 +576,7 @@ def _spy_draws(monkeypatch) -> list:
             drawn.append(reach)
             yield reach
 
-    monkeypatch.setattr(oracles_mod, "_iter_class_options", spy)
+    monkeypatch.setattr(oracles_mod, "_class_options", spy)
     return drawn
 
 
@@ -568,9 +590,9 @@ def _forbid(monkeypatch, *names: str) -> None:
 
 def test_ell_prime_converts_only_the_options_it_visits(monkeypatch):
     # Kn with equal weights has n! options and a clique bound of n, which the
-    # first option attains; n! is within the cap, so nothing is listed and the
-    # search draws and converts that one option and stops
-    _forbid(monkeypatch, "_class_options")
+    # first option attains; n! is within the cap, so nothing is counted and
+    # the search draws and converts that one option and stops
+    _forbid(monkeypatch, "_class_count")
     drawn = _spy_draws(monkeypatch)
     converted = _spy(monkeypatch, "_option_order")
     for n in (6, 8):
@@ -591,30 +613,29 @@ def test_ell_prime_converts_only_the_options_it_visits(monkeypatch):
 
 def test_ell_prime_lists_a_class_whose_bound_passes_the_cap():
     # an equal-weight C4 has min(2^4, 4!) = 16 as its bound but 14 acyclic
-    # orientations: under caps of 14 and 15 it is listed, and counted, before
-    # the search, and the answer is the reference's; under 13 it is refused
+    # orientations: under caps of 14 and 15 it is counted before the search,
+    # and the answer is the reference's; under 13 it is refused
     g = WeightedGraph(cycle_graph(4), (1,) * 4)
     ref = _reference_ell_prime(g)
     for limit in (14, 15):
         with pytest.MonkeyPatch.context() as monkeypatch:
-            _forbid(monkeypatch, "_iter_class_options")
-            listed = _spy(monkeypatch, "_class_options")
+            counts = _spy(monkeypatch, "_class_count")
             value, witness = ell_prime_orientation(g, OracleCaps(ell_prime_orientations=limit))
-        assert [len(options) for options in listed] == [14]
+        assert counts == [14]
         assert (value, witness.arcs) == (ref["value"], ref["arcs"])
     with pytest.raises(CapExceeded, match="ell_prime_orientations=13 exceeded .instance needs 14"):
         ell_prime_exact(g, OracleCaps(ell_prime_orientations=13))
-    # at the bound itself every class draws on demand
+    # at the bound itself no class is counted
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _forbid(monkeypatch, "_class_options")
+        _forbid(monkeypatch, "_class_count")
         value, witness = ell_prime_orientation(g, OracleCaps(ell_prime_orientations=16))
     assert (value, witness.arcs) == (ref["value"], ref["arcs"])
 
 
 def test_ell_prime_matches_the_reference_under_small_caps():
-    """Under caps around each instance's bound, ell' takes either path and
-    answers as the reference does, or refuses exactly when the listed product
-    passes the cap."""
+    """Under caps around each instance's bound, ell' counts its classes or not
+    and answers as the reference does, or refuses exactly when the product of
+    the classes' counts passes the cap."""
     rng = random.Random(1978)
     paths = set()
     for _ in range(150):
@@ -637,8 +658,8 @@ def test_ell_prime_matches_the_reference_under_small_caps():
                 continue
             value, witness = ell_prime_orientation(g, caps)
             assert (value, witness.arcs) == (ref["value"], ref["arcs"]), (g, limit)
-            paths.add("on demand" if bound <= limit else "listed")
-    assert paths == {"refused", "on demand", "listed"}
+            paths.add("not counted" if bound <= limit else "counted")
+    assert paths == {"refused", "not counted", "counted"}
 
 
 # ---------------------------------------------------------------------------
@@ -1369,7 +1390,7 @@ def test_chi_poc_never_runs_the_ell_prime_search(monkeypatch):
         raise AssertionError("chi_POC ran the ell' search's code")
 
     for name in (
-        "_class_options", "_iter_class_options", "_option_order", "_class_clique_floor",
+        "_class_options", "_class_count", "_option_order", "_class_clique_floor",
         "ell_prime_orientation",
     ):
         monkeypatch.setattr(oracles_mod, name, forbidden)

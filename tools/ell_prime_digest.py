@@ -7,10 +7,12 @@ package run. The instances are every weighting (up to order) of every graph
 with n <= 5, then ``GRAPHS`` G(n, p) instances seeded with ``SEED``, n <= 9,
 weights in 1..t, t <= 4, each run under the default caps and under a random
 ``ell_prime_orientations`` cap of 1-1000. Each run gives one line: the
-value and the sorted witness arcs, or the ``CapExceeded`` message. The
-script prints the number of lines, the number of refusals and a sha256 over
-the lines; two trees whose ell' agrees in value, witness and refusal print
-the same three lines.
+value and the sorted witness arcs, or ``refused`` with the cap and its
+limit. A refusal's ``actual`` count is left out: it is how far the count
+had got when it passed the cap, which depends on how the count is taken,
+not on the instance. The script prints the number of lines, the number of
+refusals and a sha256 over the lines; two trees whose ell' agrees in value,
+witness and refusal print the same three lines.
 
 Uses the standard library only.
 """
@@ -44,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
             value, witness = oracles.ell_prime_orientation(g, caps)
             line = f"{value} {sorted(witness.arcs)}"
         except oracles.CapExceeded as exc:
-            line = f"refused {exc}"
+            line = f"refused {exc.cap}={exc.limit}"
             refusals += 1
         digest.update(line.encode() + b"\n")
         lines += 1
