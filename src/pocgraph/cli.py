@@ -138,59 +138,42 @@ def cmd_orient(args: argparse.Namespace, caps: OracleCaps) -> int:
 def cmd_oracle(args: argparse.Namespace, caps: OracleCaps) -> int:
     g = _load_graph(args.input)
     quantity = args.quantity
-    if quantity == "chi":
-        witness = oracles.proper_coloring_exact(g.graph)
-        # a proper coloring is a POC of the graph with every weight equal
-        equal = WeightedGraph(g.graph, (1,) * g.n)
-        violation = poc_engine.first_violation(equal, witness) if args.witness else None
-        if violation is not None:
-            _say(f"internal error: chi witness fails validation on edge {violation}")
-            return 1
-        print(f"chi {witness.palette}")
-        if args.witness:
-            sys.stdout.write(serialize_coloring(witness))
-    elif quantity == "chipoc":
-        value, witness = oracles.chi_poc_exact(g, caps)
-        violation = poc_engine.first_violation(g, witness) if args.witness else None
-        if violation is not None:
-            _say(f"internal error: chipoc witness fails validation on edge {violation}")
-            return 1
-        print(f"chipoc {value}")
-        if args.witness:
-            sys.stdout.write(serialize_coloring(witness))
-    elif quantity == "ell":
+    if quantity == "chipoct" and args.t is None:
+        _say("oracle chipoct requires --t")
+        return 2
+    # each quantity: its value, its witness as printed, and why that fails to show it
+    if quantity == "ell":
         path = oracles.longest_path_witness(g.graph, caps)
-        # the value printed is the witness's length, so the path is all to check
-        if args.witness and not poc_engine.is_simple_path(g.graph, path):
-            _say(f"internal error: ell witness {path} is not a simple path of the graph")
-            return 1
-        print(f"ell {len(path)}")
-        if args.witness:
-            print(f"path {'-'.join(map(str, path))}")
+        # the value is the witness's length, so the path is all to check
+        value, text = len(path), f"path {'-'.join(map(str, path))}\n"
+        problem = poc_engine.path_problem(g.graph, path)
     elif quantity == "ellprime":
-        value, witness_d = oracles.ell_prime_orientation(g, caps)
-        if args.witness and not (
-            poc_engine.is_good_acyclic(g, witness_d)
-            and poc_engine.dag_longest_path(witness_d) == value
-        ):
-            _say(f"internal error: ellprime witness is not good acyclic with longest path {value}")
-            return 1
-        print(f"ellprime {value}")
-        if args.witness:
-            sys.stdout.write(serialize_orientation(witness_d))
-    else:  # f or chipoct
-        if quantity == "f":
-            value, weights = oracles.f_argmax(g.graph, caps)
-        elif args.t is None:
-            _say("oracle chipoct requires --t")
-            return 2
-        else:
-            value, weights = oracles.chi_poc_t_argmax(g.graph, args.t, caps)
-        print(f"{quantity} {value}")
-        if args.witness:
-            print(f"weights {','.join(map(str, weights))}")
-            _, coloring = oracles.chi_poc_exact(WeightedGraph(g.graph, weights), caps)
-            sys.stdout.write(serialize_coloring(coloring))
+        value, d = oracles.ell_prime_orientation(g, caps)
+        text, problem = serialize_orientation(d), poc_engine.orientation_problem(g, d, value)
+    else:  # a coloring of g, or of a weighting that attains f or chipoct
+        text, wg = "", g
+        if quantity == "chi":
+            coloring = oracles.proper_coloring_exact(g.graph)
+            # a proper coloring is a POC of the graph with every weight equal
+            value, wg = coloring.palette, WeightedGraph(g.graph, (1,) * g.n)
+        elif quantity == "chipoc":
+            value, coloring = oracles.chi_poc_exact(g, caps)
+        else:  # the weighting, solved again, must need value colors
+            value, weights = (
+                oracles.f_argmax(g.graph, caps) if quantity == "f"
+                else oracles.chi_poc_t_argmax(g.graph, args.t, caps)
+            )
+            text = f"weights {','.join(map(str, weights))}\n"
+            wg = WeightedGraph(g.graph, weights)
+            _, coloring = oracles.chi_poc_exact(wg, caps)
+        text += serialize_coloring(coloring)
+        problem = poc_engine.coloring_problem(wg, coloring, value)
+    if problem:
+        _say(f"internal error: {quantity} witness {problem}")
+        return 1
+    print(f"{quantity} {value}")
+    if args.witness:
+        sys.stdout.write(text)
     return 0
 
 

@@ -415,6 +415,11 @@ def complete_multipartite_graph(part_sizes: Iterable[int]) -> Graph:
 
 def random_weighted_graph(rng: random.Random, n: int, p: float, t: int) -> WeightedGraph:
     """G(n, p) with uniform weights in 1..t, deterministic for a fixed rng state."""
+    # checked before the first draw, so a seeded stream stays as it was
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
     edges = [
         (u, v)
         for u, v in itertools.combinations(range(1, n + 1), 2)

@@ -51,15 +51,6 @@ def is_valid_poc(g: WeightedGraph, c: Coloring) -> bool:
     return next(_violations(g, c), None) is None
 
 
-def is_simple_path(g: Graph, path: Sequence[int]) -> bool:
-    """True iff ``path`` lists distinct vertices of g, each adjacent to the next."""
-    return (
-        len(set(path)) == len(path)
-        and all(1 <= v <= g.n for v in path)
-        and all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
-    )
-
-
 def _weight_order(g: WeightedGraph) -> list[int]:
     """Vertices in non-decreasing weight order, equal weights by ascending id."""
     # the sort is stable, so equal weights keep the ascending ids of the range
@@ -218,3 +209,30 @@ def orientation_from_coloring(g: WeightedGraph, c: Coloring) -> Orientation:
     return Orientation(
         g.graph, frozenset([(u, v) if col[u] > col[v] else (v, u) for u, v in g.graph.edges])
     )
+
+
+# Witness certificates: no oracle imports this module, so none checks itself.
+
+
+def path_problem(g: Graph, path: Sequence[int]) -> str | None:
+    """None when ``path`` lists distinct vertices of g, each adjacent to the next."""
+    simple = len(set(path)) == len(path) and all(1 <= v <= g.n for v in path)
+    if simple and all(g.has_edge(u, v) for u, v in zip(path, path[1:])):
+        return None
+    return f"{path} is not a simple path of the graph"
+
+
+def coloring_problem(g: WeightedGraph, c: Coloring, value: int) -> str | None:
+    """None when c is a POC of g with palette ``value``: it shows chi_POC <= value."""
+    violation = first_violation(g, c)
+    if violation is not None:
+        return f"fails validation on edge {violation}"
+    return None if c.palette == value else f"has palette {c.palette}, not {value}"
+
+
+def orientation_problem(g: WeightedGraph, d: Orientation, value: int) -> str | None:
+    """None when d is good acyclic for g with longest dipath ``value``: it shows ell' <= value."""
+    order = _good_heads_first(g, d)
+    if order is not None and max(_greedy_colors(order, d.out_neighbors), default=0) == value:
+        return None
+    return f"is not good acyclic with longest path {value}"

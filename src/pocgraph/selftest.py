@@ -128,7 +128,7 @@ def check_c4w_fixture(ctx: _Context) -> tuple[str, str]:
         f"unique={pocs3[0].colors if pocs3 else None} pocs@2={pocs2}"
     )
     expected = "chi_poc=3 pocs@3=1 unique=(1, 2, 2, 3) pocs@2=0"
-    if observed != expected or not poc_engine.is_valid_poc(g, witness):
+    if observed != expected or poc_engine.coloring_problem(g, witness, value):
         raise _Failed(observed, expected)
     return observed, expected
 
@@ -159,7 +159,7 @@ def check_chem_fixture(ctx: _Context) -> tuple[str, str]:
     pocs3 = oracles.enumerate_pocs(g, 3, ctx.caps)
     observed = f"reference_valid={ref_ok} chi_poc={value} ell_prime={lprime} pocs@3={pocs3}"
     expected = "reference_valid=True chi_poc=4 ell_prime=4 pocs@3=0"
-    if observed != expected or not poc_engine.is_valid_poc(g, witness):
+    if observed != expected or poc_engine.coloring_problem(g, witness, value):
         raise _Failed(observed, expected)
     return observed, expected
 
@@ -177,7 +177,7 @@ def check_theorem1(ctx: _Context) -> tuple[str, str]:
     count = 0
     for g in ctx.graphs(nmax):
         (f, weights), path = ctx.f(g), ctx.path(g)
-        if not poc_engine.is_simple_path(g, path):
+        if poc_engine.path_problem(g, path):
             raise _Failed(
                 f"longest path witness {path} is not a simple path of {_graph_tag(g)}",
                 "f == longest_path",
@@ -188,7 +188,7 @@ def check_theorem1(ctx: _Context) -> tuple[str, str]:
             )
         wg = WeightedGraph(g, weights)
         chi_poc, coloring = oracles.chi_poc_exact(wg, ctx.caps)
-        if chi_poc != f or not poc_engine.is_valid_poc(wg, coloring):
+        if chi_poc != f or poc_engine.coloring_problem(wg, coloring, f):
             raise _Failed(
                 f"f_argmax weighting gives chi_poc={chi_poc}, not f={f}, on {_tag(wg)}",
                 "f == longest_path",
@@ -204,14 +204,23 @@ def _theorem3_one(ctx: _Context, wg: WeightedGraph) -> None:
         raise _Failed(
             f"chi_poc={chi_poc} ell_prime={lprime} on {_tag(wg)}", "chi_poc == ell_prime"
         )
-    if not poc_engine.is_valid_poc(wg, witness):
+    if poc_engine.coloring_problem(wg, witness, chi_poc):
         raise _Failed(f"invalid witness coloring on {_tag(wg)}", "chi_poc == ell_prime")
-    # a good acyclic d with longest dipath ell' bounds chi_POC by a coloring
-    # (greedy along d), so the ell' side is shown by its object too
-    if not poc_engine.is_good_acyclic(wg, d) or poc_engine.dag_longest_path(d) != lprime:
+    # greedy along a good acyclic d colors with its longest dipath: chi_POC <= ell'
+    if poc_engine.orientation_problem(wg, d, lprime):
         raise _Failed(
             f"ell_prime witness is not good acyclic with longest dipath {lprime} on {_tag(wg)}",
             "chi_poc == ell_prime",
+        )
+    # and the coloring, oriented from larger color to smaller, bounds ell':
+    # its longest dipath is at most the palette, and below it only if the
+    # palette is not the least
+    problem = poc_engine.orientation_problem(
+        wg, poc_engine.orientation_from_coloring(wg, witness), chi_poc
+    )
+    if problem:
+        raise _Failed(
+            f"chi_poc witness oriented by color {problem} on {_tag(wg)}", "chi_poc == ell_prime"
         )
     chi = ctx.chi(wg.graph)
     if not chi <= chi_poc <= wg.n:

@@ -20,6 +20,7 @@ from pocgraph import (
     parse_coloring,
     parse_wpoc,
     path_graph,
+    poc_engine,
     selftest,
     serialize_wpoc,
 )
@@ -205,44 +206,67 @@ def test_oracle_ellprime_checks_its_witness_before_printing(capsys, monkeypatch,
     else:
         value += 1
     monkeypatch.setattr(oracles, "ell_prime_orientation", lambda g, caps: (value, d))
-    rc, out, err = run(capsys, "oracle", c4w_file, "ellprime", "--witness")
-    assert (rc, out) == (1, "")
-    assert f"internal error: ellprime witness is not good acyclic with longest path {value}" in err
-    rc, out, _ = run(capsys, "oracle", c4w_file, "ellprime")  # no witness, nothing to check
-    assert (rc, out) == (0, f"ellprime {value}\n")
+    message = f"internal error: ellprime witness is not good acyclic with longest path {value}"
+    for flag in (["--witness"], []):  # the flag only decides what is printed
+        rc, out, err = run(capsys, "oracle", c4w_file, "ellprime", *flag)
+        assert (rc, out) == (1, "")
+        assert message in err
 
 
 def test_oracle_chipoc_checks_its_witness_before_printing(capsys, monkeypatch, c4w_file):
     g = parse_wpoc(fixture_text("C4W"))
     flat = Coloring((1,) * g.n, 1)
     monkeypatch.setattr(oracles, "chi_poc_exact", lambda g, caps: (1, flat))
-    rc, out, err = run(capsys, "oracle", c4w_file, "chipoc", "--witness")
-    assert (rc, out) == (1, "")
     edge = min(g.graph.edges)
-    assert f"internal error: chipoc witness fails validation on edge {edge}" in err
-    rc, out, _ = run(capsys, "oracle", c4w_file, "chipoc")
-    assert (rc, out) == (0, "chipoc 1\n")
+    for flag in (["--witness"], []):
+        rc, out, err = run(capsys, "oracle", c4w_file, "chipoc", *flag)
+        assert (rc, out) == (1, "")
+        assert f"internal error: chipoc witness fails validation on edge {edge}" in err
 
 
 def test_oracle_chi_checks_its_witness_before_printing(capsys, monkeypatch, c4w_file):
     flat = Coloring((1,) * 4, 1)
     monkeypatch.setattr(oracles, "proper_coloring_exact", lambda g: flat)
-    rc, out, err = run(capsys, "oracle", c4w_file, "chi", "--witness")
-    assert (rc, out) == (1, "")
-    assert "internal error: chi witness fails validation on edge (1, 2)" in err
-    rc, out, _ = run(capsys, "oracle", c4w_file, "chi")
-    assert (rc, out) == (0, "chi 1\n")
+    for flag in (["--witness"], []):
+        rc, out, err = run(capsys, "oracle", c4w_file, "chi", *flag)
+        assert (rc, out) == (1, "")
+        assert "internal error: chi witness fails validation on edge (1, 2)" in err
 
 
 @pytest.mark.parametrize("path", [(1, 2, 1), (2, 1, 4), (4, 3, 5)])
 def test_oracle_ell_checks_its_witness_before_printing(capsys, monkeypatch, c4w_file, path):
     # a repeated vertex, a missing edge 1-4, and a vertex C4W does not have
     monkeypatch.setattr(oracles, "longest_path_witness", lambda g, caps: path)
-    rc, out, err = run(capsys, "oracle", c4w_file, "ell", "--witness")
-    assert (rc, out) == (1, "")
-    assert f"internal error: ell witness {path} is not a simple path of the graph" in err
-    rc, out, _ = run(capsys, "oracle", c4w_file, "ell")
-    assert (rc, out) == (0, "ell 3\n")
+    for flag in (["--witness"], []):
+        rc, out, err = run(capsys, "oracle", c4w_file, "ell", *flag)
+        assert (rc, out) == (1, "")
+        assert f"internal error: ell witness {path} is not a simple path of the graph" in err
+
+
+@pytest.mark.parametrize("fault", ["value off by one", "invalid coloring"])
+@pytest.mark.parametrize("quantity", ["f", "chipoct"])
+def test_oracle_sweep_checks_its_witness_before_printing(
+    capsys, monkeypatch, c4w_file, quantity, fault
+):
+    # the weighting is the witness: solved again, it must need the value's colors
+    argv = ["oracle", c4w_file, quantity, *(["--t", "2"] if quantity == "chipoct" else [])]
+    if fault == "value off by one":  # C4W has f 4 and chipoct 3 at t = 2
+        message = "has palette 4, not 5" if quantity == "f" else "has palette 3, not 4"
+        name = "f_argmax" if quantity == "f" else "chi_poc_t_argmax"
+        real = getattr(oracles, name)
+
+        def one_more(*args):
+            value, weights = real(*args)
+            return value + 1, weights
+
+        monkeypatch.setattr(oracles, name, one_more)
+    else:
+        message = "fails validation on edge (1, 2)"
+        monkeypatch.setattr(oracles, "chi_poc_exact", lambda g, caps: (1, Coloring((1,) * 4, 1)))
+    for flag in (["--witness"], []):
+        rc, out, err = run(capsys, *argv, *flag)
+        assert (rc, out) == (1, "")
+        assert f"internal error: {quantity} witness {message}" in err
 
 
 def test_oracle_ell_witness_path(capsys, monkeypatch, c4w_file):
@@ -420,6 +444,14 @@ def test_generate_multipartite_matches_k135(capsys, k135):
     assert parse_wpoc(out) == k135
 
 
+@pytest.mark.parametrize("option, value", [("--p", "1.5"), ("--p", "-1"), ("--t", "0")])
+def test_generate_random_rejects_bad_p_and_t(capsys, option, value):
+    argv = {"--n": "5", "--p": "0.5", "--t": "3", option: value}
+    rc, out, err = run(capsys, "generate", "random", *(x for item in argv.items() for x in item))
+    assert (rc, out) == (2, "")
+    assert f"error: {option[2:]} must be" in err
+
+
 def test_generate_cycle_rejects_small_n(capsys):
     rc, _, err = run(capsys, "generate", "cycle", "--n", "2")
     assert rc == 2
@@ -501,6 +533,27 @@ def test_selftest_theorem1_checks_both_witnesses(monkeypatch):
     assert not result.passed
     assert result.observed == "longest path witness (1, 1) is not a simple path of n=2 e=-"
     assert selftest.run_selftest("quick").ok
+
+
+def test_selftest_theorem3_orients_the_chi_poc_witness(monkeypatch):
+    """Both oracles agree on a value one too high, each with a witness that
+    passes its own check; the coloring, oriented by color, has a shorter
+    longest dipath, so theorem3 fails on it."""
+    wg = WeightedGraph(path_graph(3), (1, 1, 1))
+    ctx = selftest._Context("quick", oracles.DEFAULT_CAPS)
+    selftest._theorem3_one(ctx, wg)
+    chi_poc, coloring = oracles.chi_poc_exact(wg)
+    d = Orientation(wg.graph, frozenset({(1, 2), (2, 3)}))  # a real good dipath of 3
+    assert chi_poc == 2 and poc_engine.orientation_problem(wg, d, 3) is None
+    # ell' is given d; chi_POC its optimal coloring, declared with one color more
+    monkeypatch.setattr(oracles, "ell_prime_orientation", lambda g, caps: (3, d))
+    monkeypatch.setattr(oracles, "chi_poc_exact", lambda g, caps: (3, Coloring(coloring.colors, 3)))
+    with pytest.raises(selftest._Failed) as failed:
+        selftest._theorem3_one(ctx, wg)
+    assert failed.value.observed == (
+        "chi_poc witness oriented by color is not good acyclic with longest path 3"
+        " on n=3 w=1,1,1 e=1-2,2-3"
+    )
 
 
 @pytest.mark.parametrize(

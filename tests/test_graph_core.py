@@ -117,6 +117,19 @@ def test_roundtrip_on_random_instances():
         assert parse_wpoc(serialize_wpoc(g)) == g
 
 
+@pytest.mark.parametrize(
+    "p, t, name", [(1.5, 3, "p"), (-1.0, 3, "p"), (float("nan"), 3, "p"), (0.5, 0, "t")]
+)
+def test_random_weighted_graph_rejects_bad_p_and_t(p, t, name):
+    rng = random.Random(7)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        random_weighted_graph(rng, 5, p, t)
+    assert rng.getstate() == state  # refused before the first draw
+    assert random_weighted_graph(rng, 4, 1.0, 1).graph.m == 6
+    assert random_weighted_graph(rng, 4, 0.0, 1).graph.m == 0
+
+
 def test_coloring_and_orientation_roundtrip():
     rng = random.Random(6)
     for _ in range(50):

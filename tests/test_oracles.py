@@ -547,7 +547,7 @@ def _listing_spec(members: list[int], intra: list[tuple[int, int]]) -> list[int]
     return [reach for _, reach in sorted(found)]
 
 
-def test_iter_class_options_draws_the_listing_in_its_order():
+def test_class_options_draws_the_listing_in_its_order():
     """The listing yields exactly the acyclic orientations, in its documented order."""
     classes = [g.sorted_edges() for n in range(1, 7) for g in enumerate_graphs(n)]
     rng = random.Random(1977)
