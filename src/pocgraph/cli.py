@@ -340,13 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         _say(f"error: {exc}")
         return 3
-    except FormatError as exc:
-        _say(f"error: {exc}")
-        return 2
-    except OSError as exc:
-        _say(f"error: {exc}")
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # FormatError is a ValueError
         _say(f"error: {exc}")
         return 2
 

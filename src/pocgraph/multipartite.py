@@ -417,16 +417,17 @@ def part_weightings(part_sizes: tuple[int, ...], t: int) -> Iterator[tuple[int, 
     """The weightings with values in 1..t, one sorted weight multiset per part
     (vertices inside a part are interchangeable), in ``itertools.product``
     order over the parts, each rank-normalized and yielded only where it
-    first occurs."""
-    seen: set[tuple[int, ...]] = set()
+    first occurs.
+
+    An assignment's normal form is itself an assignment (sorted inside each
+    part, values at most t) and is at most it at every position, so it comes
+    first in product order: the normal forms are yielded where they occur as
+    assignments, the ones whose values are exactly 1..max."""
     for assignment in itertools.product(
         *(itertools.combinations_with_replacement(range(1, t + 1), size) for size in part_sizes)
     ):
-        raw = tuple(w for group in assignment for w in group)
-        rank = {w: i for i, w in enumerate(sorted(set(raw)), start=1)}
-        weights = tuple(rank[w] for w in raw)
-        if weights not in seen:
-            seen.add(weights)
+        weights = tuple(w for group in assignment for w in group)
+        if len(set(weights)) == max(weights, default=0):
             yield weights
 
 

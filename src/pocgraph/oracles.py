@@ -416,87 +416,68 @@ _ClassOption = tuple[tuple[int, tuple[int, ...]], ...]
 
 def _class_edges(
     members: list[int], intra: list[tuple[int, int]]
-) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """The intra edges of one equal-weight class in the order that
-    ``_class_options`` decides them, each as its two arcs (u, v) then
-    (v, u), an arc given as its tail and the first bit of its head's row (see
-    ``_no_arcs``). A dense class (2^k > m!) decides edge 0 first, any other
-    class edge k-1 first.
+) -> tuple[list[tuple[int, int]], int]:
+    """The intra edges of one equal-weight class as pairs of member
+    positions, in the order that ``_class_options`` decides them, and the
+    class's Stanley bound min(2^k, m!) on its acyclic orientations. A dense
+    class (2^k > m!) decides edge 0 first, any other class edge k-1 first.
     """
-    m = len(members)
     index = {x: i for i, x in enumerate(members)}
-    edges = [((index[u], index[v] * m), (index[v], index[u] * m)) for u, v in intra]
-    dense = 2 ** len(intra) > math.factorial(m)
-    if not dense:
+    edges = [(index[u], index[v]) for u, v in intra]
+    arcs, orders = 2 ** len(intra), math.factorial(len(members))
+    if arcs <= orders:  # not dense
         edges.reverse()
-    return edges
+    return edges, min(arcs, orders)
 
 
-def _no_arcs(m: int) -> tuple[int, int, int]:
-    """The orientation of a class of m members with no arc decided yet, and
-    the two masks that ``_orient_edge`` reads.
+def _class_options(m: int, edges: list[tuple[int, int]]) -> Iterator[int]:
+    """Every acyclic orientation of a class of m members, in search order,
+    drawn one at a time with no cap.
 
     A partial orientation is its reachability, one int of m rows of m bits,
     row x holding the members that x reaches (x included). These ints have
-    m^2 bits, so a class that may be refused is counted before they are
-    built.
+    m^2 bits, so they are built only once the listing is first drawn, after
+    a class that may be refused has been counted (``_class_count``).
+
+    The intra edges ``edges`` are decided one at a time in ``_class_edges``'
+    order, (u, v) before (v, u), leaving out an arc whose head already
+    reaches its tail, which would close a cycle; some arc always remains.
+    The walk is depth-first on an explicit stack, so that each option costs
+    the same at every depth: it takes the first arc left at each edge and
+    stacks the other, if any, for later. A dense class's options then come
+    in ascending order of their arc tuples; any other class's in ascending
+    order of the number whose bit i is set when intra edge i is reversed.
+    In an acyclic orientation an intra edge {x, y} runs x -> y exactly when
+    x reaches y, so the reachability holds the arcs too, and
+    ``_class_orders`` reads them back into the heads-first order that the
+    search reads.
     """
     empty = sum(1 << (x * m + x) for x in range(m))  # x reaches x
     firsts = sum(1 << (x * m) for x in range(m))  # bit 0 of every row
-    return empty, firsts, (1 << m) - 1
-
-
-def _orient_edge(
-    reach: int, edge: tuple[tuple[int, int], tuple[int, int]], firsts: int, row: int
-) -> list[int]:
-    """The partial orientation ``reach`` extended by each arc of one intra
-    edge, in order, leaving out an arc whose head already reaches its tail,
-    which would close a cycle. Some arc always remains."""
-    longer = []
-    for tail, head_row in edge:
-        if not reach >> (head_row + tail) & 1:
-            # every row that reaches the tail now reaches all the head reaches
-            longer.append(reach | (reach >> tail & firsts) * (reach >> head_row & row))
-    return longer
-
-
-def _class_options(members: list[int], intra: list[tuple[int, int]]) -> Iterator[int]:
-    """Every acyclic orientation of one equal-weight class, in search order,
-    drawn one at a time with no cap.
-
-    The intra edges are decided one at a time in ``_class_edges``' order,
-    (u, v) before (v, u), leaving out an arc that would close a cycle
-    (``_orient_edge``). The walk is depth-first on an explicit stack, so that
-    each option costs the same at every depth: it takes the first arc left
-    at each edge and stacks the other, if any, for later. A dense class's
-    options then come in ascending order of their arc tuples; any other
-    class's in ascending order of the number whose bit i is set when intra
-    edge i is reversed. The options are reachability ints: in an acyclic
-    orientation an intra edge {x, y} runs x -> y exactly when x reaches y,
-    so the reachability holds the arcs too, and ``_option_order`` reads them
-    back into the heads-first order that the search reads.
-    """
-    edges = _class_edges(members, intra)
-    empty, firsts, row = _no_arcs(len(members))
+    row = (1 << m) - 1
     k = len(edges)
     stack = [(0, empty)]
     while stack:
         i, reach = stack.pop()
         while i < k:
-            longer = _orient_edge(reach, edges[i], firsts, row)
+            u, v = edges[i]
             i += 1
-            if len(longer) == 2:
-                stack.append((i, longer[1]))
-            reach = longer[0]
+            # adding an arc t -> h: every row that reaches t now reaches all
+            # that h reaches
+            if reach >> (v * m + u) & 1:  # v reaches u, so u -> v is left out
+                reach |= (reach >> v & firsts) * (reach >> (u * m) & row)
+            else:
+                if not reach >> (u * m + v) & 1:  # v -> u remains, for later
+                    stack.append((i, reach | (reach >> v & firsts) * (reach >> (u * m) & row)))
+                reach |= (reach >> u & firsts) * (reach >> (v * m) & row)
         yield reach
 
 
-def _class_count(
-    members: list[int], intra: list[tuple[int, int]], before: int, caps: OracleCaps
-) -> int:
-    """The number of ``_class_options``' options of one class, or
-    ``CapExceeded`` once ``before``, the product of the earlier classes'
-    counts, times this class's count passes ``ell_prime_orientations``.
+def _class_count(m: int, edges: list[tuple[int, int]], before: int, caps: OracleCaps) -> int:
+    """The number of ``_class_options``' options of a class of m members with
+    the intra edges ``edges``, or ``CapExceeded`` once ``before``, the
+    product of the earlier classes' counts, times this class's count passes
+    ``ell_prime_orientations``.
 
     A class of m members in c components has a spanning forest of m - c
     edges, each of whose 2^(m-c) orientations extends to a different acyclic
@@ -508,9 +489,9 @@ def _class_count(
     is refused at the first count that takes the product past the cap.
     Either way a refusal reports at most twice the cap.
     """
-    root = list(range(len(members)))
+    root = list(range(m))
     least = before  # doubles with each spanning-forest edge found
-    for (a, _), (b, _) in _class_edges(members, intra):
+    for a, b in edges:
         while root[a] != a:
             root[a] = root[root[a]]
             a = root[a]
@@ -523,39 +504,11 @@ def _class_count(
             if least > caps.ell_prime_orientations:
                 raise CapExceeded("ell_prime_orientations", caps.ell_prime_orientations, least)
     count = 0
-    for _ in _class_options(members, intra):
+    for _ in _class_options(m, edges):
         count += 1
         if before * count > caps.ell_prime_orientations:
             raise CapExceeded("ell_prime_orientations", caps.ell_prime_orientations, before * count)
     return count
-
-
-def _option_order(
-    members: list[int],
-    reach: int,
-    near: list[int],
-    interned: dict[tuple[int, int], tuple[int, tuple[int, ...]]],
-) -> _ClassOption:
-    """One ``_class_options`` option of the class ``members`` as a heads-first
-    order. ``near[x]`` holds x's intra neighbours, so x's heads are the ones
-    it reaches; a head reaches strictly fewer members than its tail, so
-    sorting members by that count puts heads first. ``interned`` shares equal
-    ``(vertex, heads)`` pairs between the options of one class."""
-    m = len(members)
-    row = (1 << m) - 1
-    rows = [reach >> (x * m) & row for x in range(m)]
-    counts = [r.bit_count() for r in rows]
-    order = []
-    for x in sorted(range(m), key=counts.__getitem__):
-        heads = rows[x] & near[x]
-        pair = interned.get((x, heads))
-        if pair is None:
-            pair = interned[x, heads] = (
-                members[x],
-                tuple(members[y] for y in range(m) if heads >> y & 1),
-            )
-        order.append(pair)
-    return tuple(order)
 
 
 def _class_clique_floor(members: list[int], near: list[int], height: Sequence[int]) -> int:
@@ -604,15 +557,35 @@ def _class_clique_floor(members: list[int], near: list[int], height: Sequence[in
     return bound
 
 
-def _drawn_orders(
-    members: list[int], intra: list[tuple[int, int]], near: list[int], orders: list[_ClassOption]
+def _class_orders(
+    members: list[int], edges: list[tuple[int, int]], near: list[int], orders: list[_ClassOption]
 ) -> Iterator[_ClassOption]:
-    """Each option of one class, drawn only when asked for, as its
-    heads-first order; each order is also appended to ``orders``, which
-    later visits read instead."""
+    """Each option of the class ``members`` (``_class_options``), drawn only
+    when asked for, as a heads-first order; each order is also appended to
+    ``orders``, which later visits read instead.
+
+    ``near[x]`` holds x's intra neighbours, so x's heads are the ones it
+    reaches; a head reaches strictly fewer members than its tail, so sorting
+    members by that count puts heads first. Equal ``(vertex, heads)`` pairs
+    are shared between the class's orders.
+    """
+    m = len(members)
+    row = (1 << m) - 1
     interned: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for reach in _class_options(members, intra):
-        orders.append(_option_order(members, reach, near, interned))
+    for reach in _class_options(m, edges):
+        rows = [reach >> (x * m) & row for x in range(m)]
+        counts = [r.bit_count() for r in rows]
+        order = []
+        for x in sorted(range(m), key=counts.__getitem__):
+            heads = rows[x] & near[x]
+            pair = interned.get((x, heads))
+            if pair is None:
+                pair = interned[x, heads] = (
+                    members[x],
+                    tuple(members[y] for y in range(m) if heads >> y & 1),
+                )
+            order.append(pair)
+        orders.append(tuple(order))
         yield orders[-1]
 
 
@@ -647,14 +620,15 @@ def ell_prime_orientation(
     The cap ``ell_prime_orientations`` bounds the candidates, the product of
     the classes' option counts. A class of m members with k intra edges has
     at most min(2^k, m!) acyclic orientations (Stanley, "Acyclic
-    orientations of graphs", 1973). When the product of these bounds passes
-    the cap, each class is counted before the search by ``_class_count``,
-    which refuses the instance as that function sets out; otherwise no class
-    can be refused and nothing is counted. Each class draws its options
-    from ``_class_options`` only when the search runs past the ones it has
-    drawn, and an option becomes a heads-first order (``_option_order``)
-    when it is drawn; later visits from other choices of the lighter
-    classes reuse that order.
+    orientations of graphs", 1973), which ``_class_edges`` returns with the
+    class's edges in decision order. When the product of these bounds
+    passes the cap, each class is counted before the search by
+    ``_class_count``, which refuses the instance as that function sets out;
+    otherwise no class can be refused and nothing is counted. Each class
+    draws its options from ``_class_options`` through ``_class_orders``
+    only when the search runs past the ones it has drawn, and each becomes
+    a heads-first order as it is drawn; later visits from other choices of
+    the lighter classes reuse that order.
 
     Witness contract: candidates are visited in ``itertools.product`` order
     over the classes by ascending weight, each class's options in the order
@@ -689,13 +663,11 @@ def ell_prime_orientation(
 
     # Each class's count is at most its Stanley bound, so when the product of
     # the bounds is within the cap no class can be refused and none is counted
-    classes = [
-        (c, sorted({x for e in intra for x in e}), intra)
-        for c, intra in sorted(intra_by_class.items())
-    ]
-    bound = math.prod(
-        min(2 ** len(intra), math.factorial(len(members))) for _, members, intra in classes
-    )
+    classes = []
+    for c, intra in sorted(intra_by_class.items()):
+        members = sorted({x for e in intra for x in e})
+        classes.append((c, members, *_class_edges(members, intra)))
+    bound = math.prod(stanley for *_, stanley in classes)
 
     # A stage: the vertices without intra edges up to and including one
     # class's weight, that class's members, the orders of its options drawn
@@ -705,21 +677,22 @@ def ell_prime_orientation(
     stages = []
     placed = 0
     product = 1  # the product of the option counts of the classes counted so far
-    for c, members, intra in classes:
+    for c, members, edges, _ in classes:
         upto = placed
         while upto < n and w[by_weight[upto] - 1] <= c:
             upto += 1
         if bound > caps.ell_prime_orientations:
-            product *= _class_count(members, intra, product, caps)
-        index = {x: i for i, x in enumerate(members)}
-        near = [0] * len(members)  # each member's intra neighbours, as bits
-        for u, v in intra:
-            near[index[u]] |= 1 << index[v]
-            near[index[v]] |= 1 << index[u]
+            product *= _class_count(len(members), edges, product, caps)
+        # each member's intra neighbours, as bits; m ints of up to m bits, so
+        # built only once the class fits the cap
+        near = [0] * len(members)
+        for a, b in edges:
+            near[a] |= 1 << b
+            near[b] |= 1 << a
         floor = max(floor, _class_clique_floor(members, near, height))
         fixed = [(v, lighter[v]) for v in by_weight[placed:upto] if v not in members]
         orders: list[_ClassOption] = []
-        stages.append((fixed, members, orders, _drawn_orders(members, intra, near, orders)))
+        stages.append((fixed, members, orders, _class_orders(members, edges, near, orders)))
         placed = upto
     if placed < n:
         stages.append(([(v, lighter[v]) for v in by_weight[placed:]], [], [()], iter(())))

@@ -309,7 +309,7 @@ def test_part_weightings_are_the_sorted_weak_orderings():
     # every choice of one weight multiset per part, in product order, each
     # normal form once, where it first occurs; the normal forms are the weak
     # orderings with at most t blocks that are sorted inside each part
-    for sizes in [(1, 2), (2, 2), (1, 1, 2), (2, 3), (1, 2, 3)]:
+    for sizes in [(1, 2), (2, 2), (1, 1, 2), (2, 3), (1, 2, 3), (1, 1, 2, 2)]:
         n = sum(sizes)
         starts = list(itertools.accumulate(sizes, initial=0))
         for t in (1, 2, 3, 4):

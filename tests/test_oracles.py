@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from pathlib import Path
 from typing import Iterator
 
@@ -245,13 +246,30 @@ def test_ell_prime_cap():
 def test_ell_prime_cap_counts_a_spanning_forest_first(n, monkeypatch):
     # an equal-weight path on n vertices is its own spanning tree, with
     # 2^(n-1) orientations; counting its edges stops at the first past the
-    # cap, before the class's n^2-bit orientation masks are built
-    _forbid(monkeypatch, "_no_arcs")
+    # cap, before the listing builds the class's n^2-bit orientation masks
+    _forbid(monkeypatch, "_class_options")
     limit = DEFAULT_CAPS.ell_prime_orientations
     with pytest.raises(CapExceeded, match="ell_prime_orientations") as info:
         ell_prime_exact(WeightedGraph(path_graph(n), (1,) * n))
     assert info.value.limit == limit
     assert info.value.actual == 2**17
+
+
+def test_ell_prime_refusal_memory_grows_linearly():
+    # the class's neighbour masks, m ints of up to m bits, are built only once
+    # the class fits the cap, so refusing a path four times longer takes about
+    # four times the memory, not the sixteen that those masks would
+    def peak(n: int) -> int:
+        g = WeightedGraph(path_graph(n), (1,) * n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="ell_prime_orientations"):
+                ell_prime_exact(g)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(12000) < 6 * peak(3000)
 
 
 def test_ell_prime_cap_stops_listing_early():
@@ -314,19 +332,23 @@ def _stanley_count(k: int, edges) -> int:
 def _class_enumerator_problem(edges) -> str | None:
     members = sorted({x for e in edges for x in e})
     intra = sorted(edges)
-    listed = list(oracles_mod._class_options(members, intra))
-    counted = oracles_mod._class_count(members, intra, 1, DEFAULT_CAPS)
+    decided, stanley = oracles_mod._class_edges(members, intra)
+    counted = oracles_mod._class_count(len(members), decided, 1, DEFAULT_CAPS)
     index = {x: i for i, x in enumerate(members)}
     near = [0] * len(members)
     for u, v in intra:
         near[index[u]] |= 1 << index[v]
         near[index[v]] |= 1 << index[u]
-    interned: dict = {}
+    kept: list = []
     # decoded as the search decodes them
-    options = [oracles_mod._option_order(members, reach, near, interned) for reach in listed]
+    options = list(oracles_mod._class_orders(members, decided, near, kept))
     expected = _stanley_count(len(members), intra)
     if len(options) != expected:
         return f"{len(options)} orientations, |P_G(-1)| = {expected}"
+    if kept != options:
+        return "the kept orders are not the drawn ones"
+    if stanley != min(2 ** len(intra), math.factorial(len(members))):
+        return f"Stanley bound {stanley} for {len(members)} members, {len(intra)} edges"
     if counted != expected:
         return f"counted {counted} orientations, |P_G(-1)| = {expected}"
     if len(set(options)) != len(options):
@@ -560,24 +582,25 @@ def test_class_options_draws_the_listing_in_its_order():
     dense = 0
     for intra in classes:
         members = sorted({x for e in intra for x in e})
-        listed = list(oracles_mod._class_options(members, intra))
+        edges, _ = oracles_mod._class_edges(members, intra)
+        listed = list(oracles_mod._class_options(len(members), edges))
         assert listed == _listing_spec(members, intra), intra
         dense += 2 ** len(intra) > math.factorial(len(members))
     assert dense > 50  # both edge orders are covered
 
 
-def _spy_draws(monkeypatch) -> list:
-    """Record each option that ``_class_options`` yields, as it yields it."""
-    real = oracles_mod._class_options
-    drawn = []
+def _spy_yields(monkeypatch, name: str) -> list:
+    """Record each item that an oracles generator yields, as it yields it."""
+    real = getattr(oracles_mod, name)
+    seen = []
 
     def spy(*args):
-        for reach in real(*args):
-            drawn.append(reach)
-            yield reach
+        for item in real(*args):
+            seen.append(item)
+            yield item
 
-    monkeypatch.setattr(oracles_mod, "_class_options", spy)
-    return drawn
+    monkeypatch.setattr(oracles_mod, name, spy)
+    return seen
 
 
 def _forbid(monkeypatch, *names: str) -> None:
@@ -593,8 +616,8 @@ def test_ell_prime_converts_only_the_options_it_visits(monkeypatch):
     # first option attains; n! is within the cap, so nothing is counted and
     # the search draws and converts that one option and stops
     _forbid(monkeypatch, "_class_count")
-    drawn = _spy_draws(monkeypatch)
-    converted = _spy(monkeypatch, "_option_order")
+    drawn = _spy_yields(monkeypatch, "_class_options")
+    converted = _spy_yields(monkeypatch, "_class_orders")
     for n in (6, 8):
         g = WeightedGraph(complete_graph(n), (1,) * n)
         drawn.clear()
@@ -1390,8 +1413,8 @@ def test_chi_poc_never_runs_the_ell_prime_search(monkeypatch):
         raise AssertionError("chi_POC ran the ell' search's code")
 
     for name in (
-        "_class_options", "_class_count", "_option_order", "_class_clique_floor",
-        "ell_prime_orientation",
+        "_class_edges", "_class_options", "_class_count", "_class_orders",
+        "_class_clique_floor", "ell_prime_orientation",
     ):
         monkeypatch.setattr(oracles_mod, name, forbidden)
     with pytest.raises(AssertionError, match="ell' search's code"):
