@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import importlib.util
 import itertools
 import math
 import random
@@ -963,6 +964,19 @@ def test_multipartite_sweeps_match_reference_sweep():
             assert result == _reference_sweep(g, t), (parts, t)
             assert len(set(result[1])) == t, (parts, t, result)
             assert result == _reference_sweep(g, t, True), (parts, t)
+
+
+def test_sweeps_digest_is_pinned():
+    # the witness contract of f_argmax and chi_poc_t_argmax, "the first
+    # maximiser in weak_orderings order", as the digest tool's sweeps section
+    # over every graph with n <= 4; it changes only with that contract
+    path = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
+    spec = importlib.util.spec_from_file_location("digest_tool", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    assert digest.summarize(digest.sweeps_lines(max_n=4, seeded=False)) == (
+        97, 0, "cccaebb7a7c60920652b75d948b02c8b9f7d91f6d2cff243ee1919fe46bdd57a"
+    )
 
 
 def _reversed(weights: tuple[int, ...]) -> tuple[int, ...]:
