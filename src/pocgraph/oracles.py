@@ -11,8 +11,11 @@ The chi_POC backtracking has one body, ``_poc_search``, prepared once per
 graph: adjacency, degree order and clique bound do not depend on the weights.
 It reads weights indexed by vertex id (index 0 unused). ``chi_poc_exact``
 prepares it for one weighting. The sweeps ``f_argmax`` and
-``chi_poc_t_argmax`` prepare it once per graph and run it on every weak
-ordering, walking one cached table of weightings per (n, max_blocks)
+``chi_poc_t_argmax`` prepare it once per graph and run it only on the
+weightings with exactly min(t, n) values, since the first maximiser over
+every weak ordering with at most t values is one of them (see
+``chi_poc_t_argmax``); for f, t = n and these are the total orders. They
+walk one cached table of weightings per (n, min(t, n))
 (``_sweep_weightings``) that every graph and every t share. They skip
 reversed weightings, skip repeated edge-comparison patterns and try the
 running best's palette first: three exact savings, set out in ``f_argmax``.
@@ -138,6 +141,43 @@ def weak_orderings(n: int, max_blocks: int | None = None) -> Iterator[tuple[int,
                 yield from extend(rest, rank + 1)
             else:
                 yield tuple(w)
+
+    yield from extend(tuple(range(n)), 1)
+
+
+def _exact_weak_orderings(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The weightings of ``weak_orderings(n, k)`` with exactly k blocks
+    (1 <= k <= n), in its order. For k = n these are the total orders, and
+    the vertices listed by rank come in ``itertools.permutations`` order.
+
+    The walk is ``weak_orderings``' own, except that a block at rank r takes
+    at most ``len(items) - (k - r)`` members, leaving one for each later
+    rank; the branches cut are exactly those that end with fewer blocks.
+    Since that bound depends on the rank, the splits are kept per
+    (remainder, rank), again from rank 3 on.
+    """
+    w = [0] * n
+    splits: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+
+    def extend(items: tuple[int, ...], rank: int) -> Iterator[tuple[int, ...]]:
+        if rank == k:
+            for v in items:
+                w[v] = rank
+            yield tuple(w)
+            return
+        pairs = splits.get((items, rank))
+        if pairs is None:
+            pairs = [
+                (block, tuple(x for x in items if x not in block))
+                for size in range(1, len(items) - (k - rank) + 1)
+                for block in itertools.combinations(items, size)
+            ]
+            if rank >= 3:
+                splits[items, rank] = pairs
+        for block, rest in pairs:
+            for v in block:
+                w[v] = rank
+            yield from extend(rest, rank + 1)
 
     yield from extend(tuple(range(n)), 1)
 
@@ -421,10 +461,18 @@ def _class_edges(
     positions, in the order that ``_class_options`` decides them, and the
     class's Stanley bound min(2^k, m!) on its acyclic orientations. A dense
     class (2^k > m!) decides edge 0 first, any other class edge k-1 first.
+
+    m! is multiplied out only until it reaches 2^k: both the rule and the
+    bound read m! only through its comparison with 2^k.
     """
     index = {x: i for i, x in enumerate(members)}
     edges = [(index[u], index[v]) for u, v in intra]
-    arcs, orders = 2 ** len(intra), math.factorial(len(members))
+    arcs = 2 ** len(intra)
+    orders = 1  # m!, or the first 1 * 2 * ... * j to reach 2^k
+    for j in range(2, len(members) + 1):
+        if orders >= arcs:
+            break
+        orders *= j
     if arcs <= orders:  # not dense
         edges.reverse()
     return edges, min(arcs, orders)
@@ -755,11 +803,11 @@ def ell_prime_exact(g: WeightedGraph, caps: OracleCaps = DEFAULT_CAPS) -> int:
 
 
 @lru_cache(maxsize=None)
-def _sweep_weightings(n: int, max_blocks: int) -> tuple[bytes, bytes]:
-    """The weightings of ``weak_orderings(n, max_blocks)`` (n >= 1), in its
-    order, less each one whose reversal came earlier (see ``f_argmax``), as
-    two tables built in one pass, once per key, and shared by every graph
-    and t.
+def _sweep_weightings(n: int, k: int) -> tuple[bytes, bytes]:
+    """The weightings of ``weak_orderings(n, k)`` with exactly k blocks
+    (``_exact_weak_orderings``, 1 <= k <= n), in its order, less each one
+    whose reversal came earlier (see ``f_argmax``), as two tables built in
+    one pass, once per key, and shared by every graph and t.
 
     The first block is picked by size, then in lexicographic order, so the
     reversal of (B_1, ..., B_k) came earlier exactly when
@@ -785,8 +833,7 @@ def _sweep_weightings(n: int, max_blocks: int) -> tuple[bytes, bytes]:
     # bit 0 of each member's field, so that lighter * spread[members] writes
     # the set ``lighter`` into every member's field
     spread = [sum(1 << v * n for v in range(n) if mask >> v & 1) for mask in range(1 << n)]
-    for w in weak_orderings(n, max_blocks):
-        k = max(w)
+    for w in _exact_weak_orderings(n, k):
         if (w.count(k), w.index(k)) < (w.count(1), w.index(1)):
             continue
         members = [0] * (k + 1)
@@ -803,31 +850,28 @@ def _sweep_weightings(n: int, max_blocks: int) -> tuple[bytes, bytes]:
 
 
 @lru_cache(maxsize=None)
-def _weighting_count(n: int, max_blocks: int) -> int:
-    """How many weightings ``weak_orderings(n, max_blocks)`` yields (n >= 1):
-    the surjections onto k ranks, by inclusion-exclusion, summed over k."""
-    return sum(
-        (-1) ** j * math.comb(k, j) * (k - j) ** n
-        for k in range(1, min(max_blocks, n) + 1)
-        for j in range(k + 1)
-    )
+def _weighting_count(n: int, k: int) -> int:
+    """How many weightings ``_exact_weak_orderings(n, k)`` yields: the
+    surjections onto k ranks, k! S(n, k), by inclusion-exclusion."""
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
 
 
 def _worst_weighting(g: Graph, caps: OracleCaps, t: int) -> tuple[int, tuple[int, ...]]:
     """The largest chi_POC over the weak orderings of g's vertices with at most
     t blocks, and the first weighting in ``weak_orderings`` order that attains
-    it. The ``weightings`` cap counts those weak orderings."""
+    it, found among the weightings with exactly min(t, n) blocks (see
+    ``chi_poc_t_argmax``). The ``weightings`` cap counts those."""
     n = g.n
     if n < 1:
         raise ValueError("graph must have at least one vertex")
     if n > caps.chi_poc_n:
         raise CapExceeded("chi_poc_n", caps.chi_poc_n, n)
-    max_blocks = min(t, n)  # t >= n allows every weak ordering: the same table as f's
-    count = _weighting_count(n, max_blocks)
+    k = min(t, n)  # t >= n allows every weak ordering: the same table as f's
+    count = _weighting_count(n, k)
     if count > caps.weightings:
         raise CapExceeded("weightings", caps.weightings, count)
     solve = _poc_search(g)
-    ranks, codes = _sweep_weightings(n, max_blocks)
+    ranks, codes = _sweep_weightings(n, k)
     stride = n + 1
     width = (n * n + 7) // 8
     adjacency = 0  # the layout of a code: v's field holds v's neighbours
@@ -855,11 +899,13 @@ def f_argmax(g: Graph, caps: OracleCaps = DEFAULT_CAPS) -> tuple[int, tuple[int,
     attaining it: the first in ``weak_orderings`` order.
 
     By rank normalization it suffices to range over weak orderings of the
-    vertex set. The sweep prepares one search per graph (``_poc_search``)
-    and walks the weightings of one cached table per (n, max_blocks)
-    (``_sweep_weightings``), whose rows are vertex-indexed weights (index 0
-    unused), built once and shared by every graph and every t. It skips work
-    in three exact ways:
+    vertex set, and by the lemma in ``chi_poc_t_argmax`` (with t = n) over
+    the total orders alone: the first maximiser is one of them. The sweep
+    prepares one search per graph (``_poc_search``) and walks the weightings
+    of one cached table per (n, k) (``_sweep_weightings``), those with
+    exactly k = min(t, n) values, here k = n. Its rows are vertex-indexed
+    weights (index 0 unused), built once and shared by every graph and every
+    t. It skips work in three exact ways:
 
     - a weighting whose reversal w -> k + 1 - w came earlier is skipped: the
       reversal maps each POC c to theta + 1 - c, so both have the same
@@ -892,8 +938,8 @@ def chi_poc_t_argmax(
     plus a weighting attaining it: the first in ``weak_orderings`` order.
 
     The sweep and its witness are those of ``f_argmax``, restricted to weak
-    orderings with at most t blocks. Reading "at most t values" as "exactly
-    min(t, n) values" changes neither the value nor the witness:
+    orderings with at most t blocks. The sweep walks only those with exactly
+    min(t, n) values, which changes neither the value nor the witness:
 
     - splitting a weight class into two consecutive ranks only turns some
       ``!=`` edges into strict ones, and a POC of the split weighting is one
@@ -903,9 +949,12 @@ def chi_poc_t_argmax(
       before it are unchanged and the split-off block is smaller;
     - so a weighting with fewer than min(t, n) values has an earlier one,
       still within t values, with at least the same chi_POC, and the first
-      maximiser, which the sweep returns, uses exactly min(t, n) values. It
-      is also the first maximiser among the weightings with exactly that
-      many values.
+      maximiser uses exactly min(t, n) values. It is also the first
+      maximiser among the weightings with exactly that many values, which
+      is what the sweep returns.
+
+    The ``weightings`` cap counts the weightings walked: k! S(n, k) for
+    k = min(t, n), the surjections onto k ranks.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")

@@ -378,6 +378,23 @@ def test_class_enumerator_counts_acyclic_orientations():
         assert _class_enumerator_problem(edges) is None, (n, edges)
 
 
+def test_class_edges_reads_m_factorial_against_2_to_the_k():
+    # the dense rule (2^k > m! decides edge 0 first) and the bound
+    # min(2^k, m!) against m! in full, on both sides of 2^k = m! (m = 2,
+    # k = 1) and on long paths, whose m! is far above 2^k
+    classes = [list(itertools.combinations(range(1, m + 1), 2)) for m in range(2, 10)]
+    classes += [[(i, i + 1) for i in range(1, m)] for m in (2, 3, 5, 12, 3000)]
+    classes += [[(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)], [(1, 2), (1, 3), (2, 3), (3, 4)]]
+    for intra in classes:
+        members = sorted({x for e in intra for x in e})
+        index = {x: i for i, x in enumerate(members)}
+        listed = [(index[u], index[v]) for u, v in intra]
+        arcs, orders = 2 ** len(intra), math.factorial(len(members))
+        edges, stanley = oracles_mod._class_edges(members, intra)
+        assert edges == (listed if arcs > orders else listed[::-1]), intra[:3]
+        assert stanley == min(arcs, orders), intra[:3]
+
+
 def _reference_heights(n: int, arcs) -> dict[int, int] | None:
     """Each vertex's height (vertices on a longest directed path starting
     there) by depth-first search, or None if the arcs close a cycle."""
@@ -725,14 +742,28 @@ def test_weak_ordering_counts():
 
 
 def test_weighting_count_is_the_weak_ordering_count():
-    # what the sweeps' ``weightings`` cap reads, without listing a weighting
+    # what the sweeps' ``weightings`` cap reads, without listing a weighting:
+    # the weak orderings with exactly k blocks, k! S(n, k), S(n, k) being the
+    # Stirling numbers of the second kind by their recurrence
+    stirling = [[1]]
+    for n in range(1, 13):
+        row = stirling[-1] + [0]
+        stirling.append([0] + [k * row[k] + row[k - 1] for k in range(1, n + 1)])
     for n in range(1, 8):
-        for max_blocks in range(n + 2):
-            listed = sum(1 for _ in weak_orderings(n, max_blocks))
-            assert oracles_mod._weighting_count(n, max_blocks) == listed, (n, max_blocks)
-    assert oracles_mod._weighting_count(8, 8) == 545835
-    assert oracles_mod._weighting_count(9, 9) == 7087261
-    assert oracles_mod._weighting_count(9, 3) == 18661
+        blocks = [max(w) for w in weak_orderings(n)]
+        for k in range(n + 2):
+            surjections = math.factorial(k) * (stirling[n][k] if k <= n else 0)
+            assert oracles_mod._weighting_count(n, k) == blocks.count(k) == surjections, (n, k)
+            if 1 <= k <= n:
+                listed = sum(1 for _ in oracles_mod._exact_weak_orderings(n, k))
+                assert listed == surjections, (n, k)
+    for n, k in ((8, 8), (9, 9), (9, 3), (10, 10), (10, 5), (12, 3)):
+        assert oracles_mod._weighting_count(n, k) == math.factorial(k) * stirling[n][k]
+    assert oracles_mod._weighting_count(8, 8) == 40320
+    assert oracles_mod._weighting_count(9, 9) == 362880
+    assert oracles_mod._weighting_count(9, 3) == 18150
+    assert oracles_mod._weighting_count(10, 5) == 5103000
+    assert oracles_mod._weighting_count(12, 3) == 519156
 
 
 def test_weak_ordering_block_cap():
@@ -797,10 +828,12 @@ def test_f_star_by_naive_maximum():
 
 
 def test_f_cap():
+    # f walks the n! total orders: n = 9 is admitted, n = 10 is not
+    assert oracles_mod._weighting_count(9, 9) <= DEFAULT_CAPS.weightings
     with pytest.raises(
-        CapExceeded, match=r"^cap weightings=1000000 exceeded \(instance needs 7087261\)$"
+        CapExceeded, match=r"^cap weightings=1000000 exceeded \(instance needs 3628800\)$"
     ):
-        f_exact(Graph(9, frozenset()))
+        f_exact(Graph(10, frozenset()))
 
 
 def test_chi_poc_t_is_chromatic_number_at_one():
@@ -833,13 +866,14 @@ def test_sweep_caps_and_errors():
     with pytest.raises(CapExceeded, match="chi_poc_n=4") as info:
         chi_poc_t_argmax(g, 2, small)
     assert info.value.cap == "chi_poc_n"
-    # 541 weak orderings of 5 vertices, 31 with at most 2 blocks
-    with pytest.raises(CapExceeded, match=r"^cap weightings=540 exceeded \(instance needs 541\)$"):
-        f_argmax(g, OracleCaps(weightings=540))
-    with pytest.raises(CapExceeded, match=r"^cap weightings=30 exceeded \(instance needs 31\)$"):
-        chi_poc_t_argmax(g, 2, OracleCaps(weightings=30))
-    assert f_argmax(g, OracleCaps(weightings=541)) == f_argmax(g)
-    assert chi_poc_t_argmax(g, 2, OracleCaps(weightings=31)) == chi_poc_t_argmax(g, 2)
+    # 5! = 120 total orders of 5 vertices, 2! S(5, 2) = 30 weak orderings
+    # with exactly 2 blocks
+    with pytest.raises(CapExceeded, match=r"^cap weightings=119 exceeded \(instance needs 120\)$"):
+        f_argmax(g, OracleCaps(weightings=119))
+    with pytest.raises(CapExceeded, match=r"^cap weightings=29 exceeded \(instance needs 30\)$"):
+        chi_poc_t_argmax(g, 2, OracleCaps(weightings=29))
+    assert f_argmax(g, OracleCaps(weightings=120)) == f_argmax(g)
+    assert chi_poc_t_argmax(g, 2, OracleCaps(weightings=30)) == chi_poc_t_argmax(g, 2)
     with pytest.raises(ValueError, match=r"^t must be >= 1, got 0$"):
         chi_poc_t_argmax(g, 0)
     for empty in (f_argmax, lambda g: chi_poc_t_argmax(g, 1)):
@@ -1039,17 +1073,22 @@ def _strictly_lighter(weights: tuple[int, ...]) -> int:
 
 
 def test_sweep_table_is_the_unreversed_weak_orderings():
-    keys = [(n, b) for n in range(1, 7) for b in sorted({n, 1, 2, 3})] + [(7, 3), (8, 3)]
-    for n, max_blocks in keys:
-        order = list(weak_orderings(n, max_blocks))
+    keys = sorted({(n, min(b, n)) for n in range(1, 7) for b in (n, 1, 2, 3)})
+    keys += [(7, 3), (7, 7), (8, 3)]
+    for n, k in keys:
+        order = [w for w in weak_orderings(n, k) if max(w) == k]
+        assert list(oracles_mod._exact_weak_orderings(n, k)) == order, (n, k)
+        if k == n:  # the total orders: vertices by rank in permutations order
+            by_rank = [tuple(sorted(range(1, n + 1), key=lambda v: w[v - 1])) for w in order]
+            assert by_rank == list(itertools.permutations(range(1, n + 1))), n
         position = {w: i for i, w in enumerate(order)}
         expected = [w for w in order if position[w] <= position[_reversed(w)]]
-        rows = _table_rows(n, max_blocks)
-        assert [weights for weights, _ in rows] == expected, (n, max_blocks)
-        # one of each reversed pair, and the one-block weighting
-        assert len(rows) == 1 + (len(order) - 1) // 2, (n, max_blocks)
+        rows = _table_rows(n, k)
+        assert [weights for weights, _ in rows] == expected, (n, k)
+        # one of each reversed pair; with k = 1, the one-block weighting
+        assert len(rows) == (len(order) + 1) // 2, (n, k)
         for weights, code in rows:
-            assert code == _strictly_lighter(weights), (n, max_blocks, weights)
+            assert code == _strictly_lighter(weights), (n, k, weights)
     # an argmax is a tuple of ints, not bytes or a slice of the table
     for n in range(1, 5):
         for g in enumerate_graphs(n):
@@ -1061,15 +1100,15 @@ def test_sweep_table_is_the_unreversed_weak_orderings():
 
 
 def test_sweep_table_is_built_once_per_key(monkeypatch):
-    real = oracles_mod.weak_orderings
+    real = oracles_mod._exact_weak_orderings
     generations: dict[tuple[int, int], int] = {}
 
-    def counting(n, max_blocks=None):
-        generations[n, max_blocks] = generations.get((n, max_blocks), 0) + 1
-        return real(n, max_blocks)
+    def counting(n, k):
+        generations[n, k] = generations.get((n, k), 0) + 1
+        return real(n, k)
 
     oracles_mod._sweep_weightings.cache_clear()
-    monkeypatch.setattr(oracles_mod, "weak_orderings", counting)
+    monkeypatch.setattr(oracles_mod, "_exact_weak_orderings", counting)
     for n in range(1, 6):
         for g in enumerate_graphs(n):
             f_argmax(g)
@@ -1092,12 +1131,13 @@ def test_t_at_least_n_reads_fs_table():
 
 def test_sweep_caps_refuse_before_building_a_table():
     before = oracles_mod._sweep_weightings.cache_info()
-    g = path_graph(9)
+    g = path_graph(10)
     with pytest.raises(CapExceeded) as info:
         f_argmax(g)
-    assert (info.value.cap, info.value.actual) == ("weightings", 7087261)
-    # at most 5 blocks: 1 039 261 weak orderings; t >= n counts them all
-    for t, actual in ((5, 1039261), (9, 7087261), (12, 7087261)):
+    assert (info.value.cap, info.value.actual) == ("weightings", 3628800)
+    # exactly 5 blocks: 5! S(10, 5) = 5 103 000 weak orderings; t >= n
+    # counts the 10! total orders
+    for t, actual in ((5, 5103000), (10, 3628800), (12, 3628800)):
         with pytest.raises(CapExceeded) as info:
             chi_poc_t_argmax(g, t)
         assert (info.value.cap, info.value.actual) == ("weightings", actual), t
@@ -1166,6 +1206,35 @@ def test_sweep_pattern_key_is_exact(monkeypatch):
                 solved = 0
                 sweep()
                 assert 1 <= solved <= len(patterns), (g, max_blocks)
+
+
+def test_total_order_patterns_are_the_acyclic_orientations():
+    """Over the total orders, f's table, the pattern keys ``code & adjacency``
+    together with their reversals are exactly the acyclic orientations of G
+    (a key orients each edge heavier -> lighter), and there are |P_G(-1)|
+    of them (Stanley 1973), counted here by deletion-contraction.
+
+    Each key is checked to orient every edge once and to be acyclic, so
+    |P_G(-1)| distinct such keys are all the acyclic orientations."""
+    for n in range(1, 7):
+        rows = _table_rows(n, n)
+        for g in enumerate_graphs(n):
+            adjacency = sum(
+                1 << ((v - 1) * n + u - 1) for v in range(1, n + 1) for u in g.adjacency[v]
+            )
+            keys = {code & adjacency for _, code in rows}
+            # the reversal swaps every arc: the edge bits the key leaves out
+            orientations = keys | {adjacency ^ key for key in keys}
+            assert len(orientations) == _stanley_count(n, g.edges), g
+            for key in orientations:
+                heads = [key >> (v * n) & ((1 << n) - 1) for v in range(n)]
+                for u, v in g.edges:  # exactly one of u -> v and v -> u
+                    assert (heads[u - 1] >> (v - 1) & 1) != (heads[v - 1] >> (u - 1) & 1), g
+                left = (1 << n) - 1
+                while left:  # peel off the sinks of what is left
+                    sinks = sum(1 << v for v in range(n) if left >> v & 1 and not heads[v] & left)
+                    assert sinks, (g, key)  # a cycle has no sink
+                    left ^= sinks
 
 
 # ---------------------------------------------------------------------------
