@@ -903,9 +903,9 @@ def f_argmax(g: Graph, caps: OracleCaps = DEFAULT_CAPS) -> tuple[int, tuple[int,
     the total orders alone: the first maximiser is one of them. The sweep
     prepares one search per graph (``_poc_search``) and walks the weightings
     of one cached table per (n, k) (``_sweep_weightings``), those with
-    exactly k = min(t, n) values, here k = n. Its rows are vertex-indexed
-    weights (index 0 unused), built once and shared by every graph and every
-    t. It skips work in three exact ways:
+    exactly k values, here k = n. Its rows are vertex-indexed weights (index
+    0 unused), built once and shared by every graph and every t. It skips
+    work in three exact ways:
 
     - a weighting whose reversal w -> k + 1 - w came earlier is skipped: the
       reversal maps each POC c to theta + 1 - c, so both have the same
