@@ -380,8 +380,8 @@ def test_class_enumerator_counts_acyclic_orientations():
 
 def test_class_edges_reads_m_factorial_against_2_to_the_k():
     # the dense rule (2^k > m! decides edge 0 first) and the bound
-    # min(2^k, m!) against m! in full, on both sides of 2^k = m! (m = 2,
-    # k = 1) and on long paths, whose m! is far above 2^k
+    # min(2^k, m!) against m! in full: on cliques (dense from K3 on), at
+    # 2^k = m! (m = 2, k = 1), and on long paths, whose m! is far above 2^k
     classes = [list(itertools.combinations(range(1, m + 1), 2)) for m in range(2, 10)]
     classes += [[(i, i + 1) for i in range(1, m)] for m in (2, 3, 5, 12, 3000)]
     classes += [[(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)], [(1, 2), (1, 3), (2, 3), (3, 4)]]
@@ -757,13 +757,9 @@ def test_weighting_count_is_the_weak_ordering_count():
             if 1 <= k <= n:
                 listed = sum(1 for _ in oracles_mod._exact_weak_orderings(n, k))
                 assert listed == surjections, (n, k)
-    for n, k in ((8, 8), (9, 9), (9, 3), (10, 10), (10, 5), (12, 3)):
-        assert oracles_mod._weighting_count(n, k) == math.factorial(k) * stirling[n][k]
-    assert oracles_mod._weighting_count(8, 8) == 40320
-    assert oracles_mod._weighting_count(9, 9) == 362880
-    assert oracles_mod._weighting_count(9, 3) == 18150
-    assert oracles_mod._weighting_count(10, 5) == 5103000
-    assert oracles_mod._weighting_count(12, 3) == 519156
+    for n, k, count in ((8, 8, 40320), (9, 9, 362880), (9, 3, 18150), (10, 10, 3628800),
+                        (10, 5, 5103000), (12, 3, 519156)):
+        assert oracles_mod._weighting_count(n, k) == math.factorial(k) * stirling[n][k] == count
 
 
 def test_weak_ordering_block_cap():
