@@ -156,6 +156,8 @@ def _exact_weak_orderings(n: int, k: int) -> Iterator[tuple[int, ...]]:
     Since that bound depends on the rank, the splits are kept per
     (remainder, rank), again from rank 3 on.
     """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     w = [0] * n
     splits: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
 

@@ -64,8 +64,8 @@ def ellprime_lines() -> Iterator[str]:
         yield run(g, oracles.OracleCaps(ell_prime_orientations=rng.randint(1, 1000)))
 
 
-def sweeps_lines(max_n: int = 6, seeded: bool = True) -> Iterator[str]:
-    """The ``sweeps`` section; ``max_n`` and ``seeded`` narrow the family."""
+def sweeps_lines() -> Iterator[str]:
+    """The ``sweeps`` section, lazily: the graphs with n <= 4 come first."""
     import pocgraph
     from pocgraph import oracles
 
@@ -79,18 +79,17 @@ def sweeps_lines(max_n: int = 6, seeded: bool = True) -> Iterator[str]:
             return f"refused {exc.cap}={exc.limit}"
         return f"{value} {weights}"
 
-    for n in range(1, max_n + 1):
+    for n in range(1, 7):
         for g in oracles.enumerate_graphs(n):
             yield run(g, None)
             for t in range(1, n + 2):
                 yield run(g, t)
-    if seeded:
-        rng = random.Random(SEED)
-        for n in SWEEP_N:
-            for _ in range(SWEEP_GRAPHS):
-                g = pocgraph.random_weighted_graph(rng, n, rng.random(), 1).graph
-                for t in (1, 2, 3):
-                    yield run(g, t)
+    rng = random.Random(SEED)
+    for n in SWEEP_N:
+        for _ in range(SWEEP_GRAPHS):
+            g = pocgraph.random_weighted_graph(rng, n, rng.random(), 1).graph
+            for t in (1, 2, 3):
+                yield run(g, t)
 
 
 def summarize(lines: Iterable[str]) -> tuple[int, int, str]:
