@@ -18,7 +18,6 @@ from .graph_core import (
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
-    induced_subgraph,
     normalize_weights,
     parse_coloring,
     parse_orientation,

@@ -359,22 +359,6 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, frozenset(missing))
 
 
-def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by the vertex set s, plus the old->new id map.
-
-    New ids are 1..|s| in increasing order of the old ids.
-    """
-    keep = sorted(set(s))
-    for v in keep:
-        if not (1 <= v <= g.n):
-            raise ValueError(f"vertex id {v} out of range 1..{g.n}")
-    idmap = {old: new for new, old in enumerate(keep, start=1)}
-    edges = frozenset(
-        (idmap[u], idmap[v]) for u, v in g.edges if u in idmap and v in idmap
-    )
-    return Graph(len(keep), edges), idmap
-
-
 # ---------------------------------------------------------------------------
 # Standard constructions
 # ---------------------------------------------------------------------------

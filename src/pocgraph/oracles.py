@@ -10,16 +10,17 @@ a meaningful cross-validation.
 The chi_POC backtracking has one body, ``_poc_search``, prepared once per
 graph: adjacency, degree order and clique bound do not depend on the weights.
 It reads weights indexed by vertex id (index 0 unused). ``chi_poc_exact``
-prepares it for one weighting. The sweeps ``f_argmax`` and
-``chi_poc_t_argmax`` prepare it once per graph and run it only on the
-weightings with exactly min(t, n) values, since the first maximiser over
-every weak ordering with at most t values is one of them (see
-``chi_poc_t_argmax``); for f, t = n and these are the total orders. They
-walk one cached table of weightings per (n, min(t, n))
+prepares it for one weighting. The sweep ``chi_poc_t_argmax``, and
+``f_argmax``, which is that sweep with t = n, prepare it once per graph and
+run it only on the weightings with exactly min(t, n) values
+(``weak_orderings(n, blocks=k)``), since the first maximiser over every weak
+ordering with at most t values is one of them; for f these are the total
+orders. They walk one cached table of weightings per (n, min(t, n))
 (``_sweep_weightings``) that every graph and every t share. They skip
 reversed weightings, skip repeated edge-comparison patterns and try the
-running best's palette first: three exact savings, set out in ``f_argmax``.
-No saving consults a longest path, so f stays independent of ell(G).
+running best's palette first: three exact savings, set out in
+``chi_poc_t_argmax``. No saving consults a longest path, so f stays
+independent of ell(G).
 
 ``ell_prime_orientation`` only chooses the orientation of each equal-weight
 class, since every other edge is forced heavier -> lighter. It takes the
@@ -96,28 +97,32 @@ def caps_with_overrides(spec: str, base: OracleCaps = DEFAULT_CAPS) -> OracleCap
 # ---------------------------------------------------------------------------
 
 
-def weak_orderings(n: int, max_blocks: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Every ordered set partition of 1..n (optionally with at most
-    max_blocks blocks) as a weight tuple: ``w[v - 1]`` is the rank 1..k of
-    v's block.
+def weak_orderings(n: int, *, blocks: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Every ordered set partition of 1..n as a weight tuple: ``w[v - 1]`` is
+    the rank 1..k of v's block. With ``blocks=k`` (1 <= k <= n, else
+    ``ValueError``) only those with exactly k blocks, in the same order; for
+    k = n these are the total orders, and the vertices listed by rank come in
+    ``itertools.permutations`` order.
 
     The first block is any nonempty subset, taken by size and then in
-    ``itertools.combinations`` order, and the rest follows recursively. Each
-    remainder's (block, rest) splits are listed once per call, and kept only
-    from rank 3 on: a rank-2 remainder is the complement of one first block,
-    so it never recurs. The last allowed block takes every remaining vertex,
-    so a block cap walks no dead branch.
+    ``itertools.combinations`` order, and the rest follows recursively. A
+    block at rank r takes at most ``len(items) - owed`` members, where
+    ``owed = blocks - r`` (0 without ``blocks``) leaves one member for each
+    later rank, and the last rank (n, or ``blocks``) takes every remaining
+    vertex, so no branch is dead. Each (remainder, owed) pair's (block, rest)
+    splits are listed once per call, and kept only from rank 3 on: a rank-2
+    remainder is the complement of one first block, so it never recurs.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if blocks is not None and not 1 <= blocks <= n:
+        raise ValueError(f"need 1 <= blocks <= n, got n={n}, blocks={blocks}")
     if n == 0:
         yield ()
         return
-    last = n if max_blocks is None else min(max_blocks, n)
-    if last <= 0:
-        return
+    last = n if blocks is None else blocks
     w = [0] * n
-    splits: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    splits: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
 
     def extend(items: tuple[int, ...], rank: int) -> Iterator[tuple[int, ...]]:
         if rank == last:
@@ -125,15 +130,16 @@ def weak_orderings(n: int, max_blocks: int | None = None) -> Iterator[tuple[int,
                 w[v] = rank
             yield tuple(w)
             return
-        pairs = splits.get(items)
+        owed = 0 if blocks is None else blocks - rank
+        pairs = splits.get((items, owed))
         if pairs is None:
             pairs = [
                 (block, tuple(x for x in items if x not in block))
-                for size in range(1, len(items) + 1)
+                for size in range(1, len(items) - owed + 1)
                 for block in itertools.combinations(items, size)
             ]
             if rank >= 3:
-                splits[items] = pairs
+                splits[items, owed] = pairs
         for block, rest in pairs:
             for v in block:
                 w[v] = rank
@@ -141,45 +147,6 @@ def weak_orderings(n: int, max_blocks: int | None = None) -> Iterator[tuple[int,
                 yield from extend(rest, rank + 1)
             else:
                 yield tuple(w)
-
-    yield from extend(tuple(range(n)), 1)
-
-
-def _exact_weak_orderings(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The weightings of ``weak_orderings(n, k)`` with exactly k blocks
-    (1 <= k <= n), in its order. For k = n these are the total orders, and
-    the vertices listed by rank come in ``itertools.permutations`` order.
-
-    The walk is ``weak_orderings``' own, except that a block at rank r takes
-    at most ``len(items) - (k - r)`` members, leaving one for each later
-    rank; the branches cut are exactly those that end with fewer blocks.
-    Since that bound depends on the rank, the splits are kept per
-    (remainder, rank), again from rank 3 on.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    w = [0] * n
-    splits: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-
-    def extend(items: tuple[int, ...], rank: int) -> Iterator[tuple[int, ...]]:
-        if rank == k:
-            for v in items:
-                w[v] = rank
-            yield tuple(w)
-            return
-        pairs = splits.get((items, rank))
-        if pairs is None:
-            pairs = [
-                (block, tuple(x for x in items if x not in block))
-                for size in range(1, len(items) - (k - rank) + 1)
-                for block in itertools.combinations(items, size)
-            ]
-            if rank >= 3:
-                splits[items, rank] = pairs
-        for block, rest in pairs:
-            for v in block:
-                w[v] = rank
-            yield from extend(rest, rank + 1)
 
     yield from extend(tuple(range(n)), 1)
 
@@ -806,10 +773,10 @@ def ell_prime_exact(g: WeightedGraph, caps: OracleCaps = DEFAULT_CAPS) -> int:
 
 @lru_cache(maxsize=None)
 def _sweep_weightings(n: int, k: int) -> tuple[bytes, bytes]:
-    """The weightings of ``weak_orderings(n, k)`` with exactly k blocks
-    (``_exact_weak_orderings``, 1 <= k <= n), in its order, less each one
-    whose reversal came earlier (see ``f_argmax``), as two tables built in
-    one pass, once per key, and shared by every graph and t.
+    """The weightings of ``weak_orderings(n, blocks=k)`` (1 <= k <= n), in
+    its order, less each one whose reversal came earlier (see
+    ``chi_poc_t_argmax``), as two tables built in one pass, once per key, and
+    shared by every graph and t.
 
     The first block is picked by size, then in lexicographic order, so the
     reversal of (B_1, ..., B_k) came earlier exactly when
@@ -825,8 +792,8 @@ def _sweep_weightings(n: int, k: int) -> tuple[bytes, bytes]:
     hold vertex v's field, whose bit u - 1 is set when u is strictly lighter
     than v. ANDed with a graph's adjacency in the same layout, a code keeps
     each vertex's lighter neighbours: the weighting's comparison pattern on
-    the edges. ``_worst_weighting`` solves only the first row of each pattern
-    in its sweep.
+    the edges. ``chi_poc_t_argmax`` solves only the first row of each
+    pattern in its sweep.
     """
     ranks = bytearray()
     codes = bytearray()
@@ -835,7 +802,7 @@ def _sweep_weightings(n: int, k: int) -> tuple[bytes, bytes]:
     # bit 0 of each member's field, so that lighter * spread[members] writes
     # the set ``lighter`` into every member's field
     spread = [sum(1 << v * n for v in range(n) if mask >> v & 1) for mask in range(1 << n)]
-    for w in _exact_weak_orderings(n, k):
+    for w in weak_orderings(n, blocks=k):
         if (w.count(k), w.index(k)) < (w.count(1), w.index(1)):
             continue
         members = [0] * (k + 1)
@@ -853,19 +820,62 @@ def _sweep_weightings(n: int, k: int) -> tuple[bytes, bytes]:
 
 @lru_cache(maxsize=None)
 def _weighting_count(n: int, k: int) -> int:
-    """How many weightings ``_exact_weak_orderings(n, k)`` yields: the
+    """How many weightings ``weak_orderings(n, blocks=k)`` yields: the
     surjections onto k ranks, k! S(n, k), by inclusion-exclusion."""
     return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
 
 
-def _worst_weighting(g: Graph, caps: OracleCaps, t: int) -> tuple[int, tuple[int, ...]]:
-    """The largest chi_POC over the weak orderings of g's vertices with at most
-    t blocks, and the first weighting in ``weak_orderings`` order that attains
-    it, found among the weightings with exactly min(t, n) blocks (see
-    ``chi_poc_t_argmax``). The ``weightings`` cap counts those."""
+def chi_poc_t_argmax(
+    g: Graph, t: int, caps: OracleCaps = DEFAULT_CAPS
+) -> tuple[int, tuple[int, ...]]:
+    """Worst-case POC palette over weightings with at most t distinct values,
+    plus a weighting attaining it: the first in ``weak_orderings`` order.
+
+    By rank normalization it suffices to range over the weak orderings of the
+    vertex set with at most t blocks. The sweep walks only those with exactly
+    k = min(t, n) blocks, which changes neither the value nor the witness:
+
+    - splitting a weight class into two consecutive ranks only turns some
+      ``!=`` edges into strict ones, and a POC of the split weighting is one
+      of the unsplit weighting, so chi_POC cannot drop;
+    - in ``weak_orderings`` order, splitting the least member off the first
+      block with two or more members gives an earlier weighting: the blocks
+      before it are unchanged and the split-off block is smaller;
+    - so a weighting with fewer than min(t, n) values has an earlier one,
+      still within t values, with at least the same chi_POC, and the first
+      maximiser uses exactly min(t, n) values. It is also the first
+      maximiser among the weightings with exactly that many values, which
+      is what the sweep returns.
+
+    The sweep prepares one search per graph (``_poc_search``) and walks one
+    cached table per (n, k) (``_sweep_weightings``) whose rows are
+    vertex-indexed weights (index 0 unused), built once and shared by every
+    graph and every t. It skips work in three exact ways:
+
+    - a weighting whose reversal w -> k + 1 - w came earlier is skipped: the
+      reversal maps each POC c to theta + 1 - c, so both have the same
+      chi_POC, and the best is replaced only on a strictly greater value;
+    - a weighting is skipped before it is solved when an earlier one of the
+      sweep has the same comparison pattern on the edges: the row's code
+      ANDed with g's adjacency, which names each vertex's strictly lighter
+      neighbours. A POC's conditions compare the weights of an edge's ends
+      and nothing else, so the pattern fixes chi_POC. Solving its first row
+      left the best at least that value, so the witness is still the first
+      row to attain the maximum. The pattern reads no longest path;
+    - a weighting is first tried at the running best's palette. A POC there
+      means it cannot beat the best; none there means none with fewer colors
+      (a POC within theta colors is one within theta + 1), so its search goes
+      on from best + 1.
+
+    The ``best == n`` ceiling still ends the sweep early. The ``weightings``
+    cap counts the weightings walked: k! S(n, k), the surjections onto k
+    ranks.
+    """
     n = g.n
     if n < 1:
         raise ValueError("graph must have at least one vertex")
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
     if n > caps.chi_poc_n:
         raise CapExceeded("chi_poc_n", caps.chi_poc_n, n)
     k = min(t, n)  # t >= n allows every weak ordering: the same table as f's
@@ -891,80 +901,27 @@ def _worst_weighting(g: Graph, caps: OracleCaps, t: int) -> tuple[int, tuple[int
         value, _ = solve(row, best)
         if value > best:
             best, best_weights = value, tuple(row[1:])
-            if best == g.n:  # the trivial ceiling: no weighting needs more
+            if best == n:  # the trivial ceiling: no weighting needs more
                 break
     return best, best_weights
+
+
+def chi_poc_t(g: Graph, t: int, caps: OracleCaps = DEFAULT_CAPS) -> int:
+    return chi_poc_t_argmax(g, t, caps)[0]
 
 
 def f_argmax(g: Graph, caps: OracleCaps = DEFAULT_CAPS) -> tuple[int, tuple[int, ...]]:
     """Worst-case POC palette over all weight functions, plus a weighting
     attaining it: the first in ``weak_orderings`` order.
 
-    By rank normalization it suffices to range over weak orderings of the
-    vertex set, and by the lemma in ``chi_poc_t_argmax`` (with t = n) over
-    the total orders alone: the first maximiser is one of them. The sweep
-    prepares one search per graph (``_poc_search``) and walks the weightings
-    of one cached table per (n, k) (``_sweep_weightings``), those with
-    exactly k values, here k = n. Its rows are vertex-indexed weights (index
-    0 unused), built once and shared by every graph and every t. It skips
-    work in three exact ways:
-
-    - a weighting whose reversal w -> k + 1 - w came earlier is skipped: the
-      reversal maps each POC c to theta + 1 - c, so both have the same
-      chi_POC, and the best is replaced only on a strictly greater value;
-    - a weighting is skipped before it is solved when an earlier one of the
-      sweep has the same comparison pattern on the edges: the row's code
-      ANDed with g's adjacency, which names each vertex's strictly lighter
-      neighbours. A POC's conditions compare the weights of an edge's ends
-      and nothing else, so the pattern fixes chi_POC. Solving its first row
-      left the best at least that value, so the witness is still the first
-      row to attain the maximum. The pattern reads no longest path;
-    - a weighting is first tried at the running best's palette. A POC there
-      means it cannot beat the best; none there means none with fewer colors
-      (a POC within theta colors is one within theta + 1), so its search goes
-      on from best + 1.
-
-    The ``best == n`` ceiling still ends the sweep early.
+    This is ``chi_poc_t_argmax`` with t = n, so by its lemma the sweep walks
+    the total orders alone: the first maximiser is one of them.
     """
-    return _worst_weighting(g, caps, g.n)
+    return chi_poc_t_argmax(g, g.n, caps)
 
 
 def f_exact(g: Graph, caps: OracleCaps = DEFAULT_CAPS) -> int:
     return f_argmax(g, caps)[0]
-
-
-def chi_poc_t_argmax(
-    g: Graph, t: int, caps: OracleCaps = DEFAULT_CAPS
-) -> tuple[int, tuple[int, ...]]:
-    """Worst-case POC palette over weightings with at most t distinct values,
-    plus a weighting attaining it: the first in ``weak_orderings`` order.
-
-    The sweep and its witness are those of ``f_argmax``, restricted to weak
-    orderings with at most t blocks. The sweep walks only those with exactly
-    min(t, n) values, which changes neither the value nor the witness:
-
-    - splitting a weight class into two consecutive ranks only turns some
-      ``!=`` edges into strict ones, and a POC of the split weighting is one
-      of the unsplit weighting, so chi_POC cannot drop;
-    - in ``weak_orderings`` order, splitting the least member off the first
-      block with two or more members gives an earlier weighting: the blocks
-      before it are unchanged and the split-off block is smaller;
-    - so a weighting with fewer than min(t, n) values has an earlier one,
-      still within t values, with at least the same chi_POC, and the first
-      maximiser uses exactly min(t, n) values. It is also the first
-      maximiser among the weightings with exactly that many values, which
-      is what the sweep returns.
-
-    The ``weightings`` cap counts the weightings walked: k! S(n, k) for
-    k = min(t, n), the surjections onto k ranks.
-    """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    return _worst_weighting(g, caps, t)
-
-
-def chi_poc_t(g: Graph, t: int, caps: OracleCaps = DEFAULT_CAPS) -> int:
-    return chi_poc_t_argmax(g, t, caps)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,9 @@ def layered_stack_coloring(g: WeightedGraph) -> Coloring:
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     g = normalize_weights(g)
-    # Each class graph is the one induced_subgraph builds: members keep their
+    # Each class graph is the subgraph its members induce: members keep their
     # ascending-id order as new ids 1..k, and its edges are inserted in g's
-    # edge order, so the exact coloring sees the same graph.
+    # edge order.
     members: list[list[int]] = [[] for _ in range(max(g.weights) + 1)]
     local = [0] * (g.n + 1)
     for v, value in enumerate(g.weights, start=1):

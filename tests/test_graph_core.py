@@ -14,7 +14,6 @@ from pocgraph import (
     complement,
     complete_graph,
     complete_multipartite_graph,
-    induced_subgraph,
     normalize_weights,
     parse_coloring,
     parse_orientation,
@@ -250,19 +249,3 @@ def test_complement_is_involution_with_edge_count():
         g = random_weighted_graph(rng, rng.randint(1, 5), rng.random(), 1).graph
         assert complement(complement(g)) == g
         assert g.m + complement(g).m == g.n * (g.n - 1) // 2
-
-
-def test_induced_subgraph_examples(c4w):
-    sub, idmap = induced_subgraph(c4w.graph, {1, 2})
-    assert sub.n == 2 and sub.edges == frozenset({(1, 2)})
-    assert idmap == {1: 1, 2: 2}
-
-    empty, idmap = induced_subgraph(c4w.graph, set())
-    assert empty.n == 0 and empty.m == 0 and idmap == {}
-
-    k4 = complete_graph(4)
-    tri, _ = induced_subgraph(k4, {2, 3, 4})
-    assert tri == complete_graph(3)
-
-    with pytest.raises(ValueError, match="out of range"):
-        induced_subgraph(k4, {5})

@@ -267,7 +267,7 @@ def test_mocs_coloring_2x2_uses_three_colors():
 def test_mocs_coloring_exact_count_over_family():
     for sizes in [(1, 2), (2, 2), (1, 1, 2), (2, 2, 2), (1, 2, 3)]:
         n = sum(sizes)
-        for weights in weak_orderings(n, max_blocks=3):
+        for weights in (w for w in weak_orderings(n) if max(w) <= 3):
             inst = MultipartiteInstance(sizes, weights)
             for mocs in enumerate_mocs(inst):
                 s = find_max_spaths(inst, mocs)
@@ -324,8 +324,9 @@ def test_part_weightings_are_the_sorted_weak_orderings():
             assert listed == list(first_seen), (sizes, t)
             sorted_inside = {
                 w
-                for w in weak_orderings(n, t)
-                if all(
+                for w in weak_orderings(n)
+                if max(w) <= t
+                and all(
                     list(w[a:b]) == sorted(w[a:b]) for a, b in zip(starts, starts[1:])
                 )
             }

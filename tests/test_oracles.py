@@ -735,6 +735,14 @@ def _block_weights(blocks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(weights)
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_weightings(n: int, max_blocks: int | None) -> tuple[tuple[int, ...], ...]:
+    """The weight tuples of ``_reference_ordered_partitions`` of 1..n, listed
+    once per key."""
+    items = tuple(range(1, n + 1))
+    return tuple(map(_block_weights, _reference_ordered_partitions(items, max_blocks)))
+
+
 def test_weak_ordering_counts():
     # the Fubini numbers, OEIS A000670
     fubini = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835]
@@ -755,7 +763,7 @@ def test_weighting_count_is_the_weak_ordering_count():
             surjections = math.factorial(k) * (stirling[n][k] if k <= n else 0)
             assert oracles_mod._weighting_count(n, k) == blocks.count(k) == surjections, (n, k)
             if 1 <= k <= n:
-                listed = sum(1 for _ in oracles_mod._exact_weak_orderings(n, k))
+                listed = sum(1 for _ in weak_orderings(n, blocks=k))
                 assert listed == surjections, (n, k)
     for n, k, count in ((8, 8, 40320), (9, 9, 362880), (9, 3, 18150), (10, 10, 3628800),
                         (10, 5, 5103000), (12, 3, 519156)):
@@ -763,8 +771,8 @@ def test_weighting_count_is_the_weak_ordering_count():
 
 
 def test_weak_ordering_block_cap():
-    assert sum(1 for _ in weak_orderings(4, max_blocks=1)) == 1
-    assert sum(1 for _ in weak_orderings(4, max_blocks=2)) == 15  # 1 + 2*S(4,2)
+    assert sum(1 for _ in weak_orderings(4, blocks=1)) == 1
+    assert sum(1 for _ in weak_orderings(4, blocks=2)) == 14  # 2*S(4,2)
 
 
 def test_weak_orderings_are_distinct_and_cover():
@@ -777,28 +785,37 @@ def test_weak_orderings_are_distinct_and_cover():
         next(weak_orderings(-1))
 
 
+def _weak_orderings_outside(n: int) -> None:
+    """``blocks`` outside 1..n is refused, 0 and n + 1 included."""
+    for blocks in (0, n + 1):
+        with pytest.raises(ValueError, match=r"^need 1 <= blocks <= n"):
+            next(weak_orderings(n, blocks=blocks))
+
+
 def test_weak_orderings_are_the_surjections():
-    # independent source: every map {1..n} -> {1..top} onto some {1..k}
+    # independent source: every map {1..n} -> {1..k} onto {1..k}, for every k
+    # or, with blocks=k, for that k alone
     for n in range(7):
-        for max_blocks in (None, *range(n + 2)):
-            top = n if max_blocks is None else min(max_blocks, n)
+        for blocks in (None, *range(1, n + 1)):
             expected = {
                 w
-                for w in itertools.product(range(1, top + 1), repeat=n)
-                if set(w) == set(range(1, max(w, default=0) + 1))
+                for k in (range(n + 1) if blocks is None else (blocks,))
+                for w in itertools.product(range(1, k + 1), repeat=n)
+                if set(w) == set(range(1, k + 1))
             }
-            listed = list(weak_orderings(n, max_blocks))
-            assert len(listed) == len(expected) and set(listed) == expected, (n, max_blocks)
+            listed = list(weak_orderings(n, blocks=blocks))
+            assert len(listed) == len(expected) and set(listed) == expected, (n, blocks)
+        _weak_orderings_outside(n)
 
 
 def test_weak_orderings_keep_the_reference_order():
     for n in range(8):
-        for max_blocks in (None, *range(n + 1)):
-            expected = [
-                _block_weights(blocks)
-                for blocks in _reference_ordered_partitions(tuple(range(1, n + 1)), max_blocks)
-            ]
-            assert list(weak_orderings(n, max_blocks)) == expected, (n, max_blocks)
+        reference = _reference_weightings(n, None)
+        assert tuple(weak_orderings(n)) == reference, n
+        for k in range(1, n + 1):
+            expected = [w for w in reference if max(w) == k]
+            assert list(weak_orderings(n, blocks=k)) == expected, (n, k)
+        _weak_orderings_outside(n)
 
 
 # ---------------------------------------------------------------------------
@@ -942,9 +959,10 @@ def _reference_chi_poc(g: WeightedGraph) -> tuple[int, tuple[int, ...]]:
 def _reference_sweep(
     g: Graph, t: int | None = None, exactly_t: bool = False
 ) -> tuple[int, tuple[int, ...]]:
-    """f_argmax (t=None) or chi_poc_t_argmax: a fresh search per weak ordering.
-    With exactly_t, only the weightings with exactly t values (t <= n)."""
-    orderings = weak_orderings(g.n, None if t is None else min(t, g.n))
+    """f_argmax (t=None) or chi_poc_t_argmax: a fresh search per weak ordering,
+    listed by the test's own ``_reference_weightings``. With exactly_t, only
+    the weightings with exactly t values (t <= n)."""
+    orderings = _reference_weightings(g.n, None if t is None else min(t, g.n))
     best, best_weights = 0, ()
     for weights in orderings:
         if exactly_t and max(weights) != t:
@@ -996,17 +1014,34 @@ def test_multipartite_sweeps_match_reference_sweep():
             assert result == _reference_sweep(g, t, True), (parts, t)
 
 
+def _digest_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
+    spec = importlib.util.spec_from_file_location("digest_tool", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    return digest
+
+
 def test_sweeps_digest_is_pinned():
     # the witness contract of f_argmax and chi_poc_t_argmax, "the first
     # maximiser in weak_orderings order", as the digest tool's sweeps section
     # over every graph with n <= 4, its first 3 + 8 + 20 + 66 = 97 lines; it
     # changes only with that contract
-    path = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
-    spec = importlib.util.spec_from_file_location("digest_tool", path)
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
+    digest = _digest_tool()
     assert digest.summarize(itertools.islice(digest.sweeps_lines(), 97)) == (
         97, 0, "cccaebb7a7c60920652b75d948b02c8b9f7d91f6d2cff243ee1919fe46bdd57a"
+    )
+
+
+def test_ellprime_digest_is_pinned():
+    # the witness contract of ell_prime_orientation, "the first orientation
+    # in its option order that attains the minimum", as the digest tool's
+    # ellprime section over every weighting, in weak_orderings order, of
+    # every graph with n <= 4, its first 1 + 2*3 + 4*13 + 11*75 = 884 lines;
+    # it changes only with that contract or with that order
+    digest = _digest_tool()
+    assert digest.summarize(itertools.islice(digest.ellprime_lines(), 884)) == (
+        884, 0, "cc83fb48414fd643960511458474643fd4d16a0d26b47f24725b53f92e1c9088"
     )
 
 
@@ -1034,8 +1069,8 @@ def test_sweep_keeps_the_first_of_each_reversed_pair():
     # the rule the table applies: w comes no later than its reversal exactly
     # when (|B_k|, B_k) >= (|B_1|, B_1), B_r being the sorted block of rank r
     for n in range(1, 6):
-        for max_blocks in (None, 1, 2, 3):
-            order = list(weak_orderings(n, max_blocks))
+        for blocks in (None, *range(1, min(3, n) + 1)):
+            order = list(weak_orderings(n, blocks=blocks))
             position = {w: i for i, w in enumerate(order)}
             for w in order:
                 first = tuple(v for v in range(1, n + 1) if w[v - 1] == 1)
@@ -1044,9 +1079,9 @@ def test_sweep_keeps_the_first_of_each_reversed_pair():
                 assert earlier == ((len(last), last) >= (len(first), first)), w
 
 
-def _table_rows(n: int, max_blocks: int) -> list[tuple[tuple[int, ...], int]]:
+def _table_rows(n: int, k: int) -> list[tuple[tuple[int, ...], int]]:
     """The table's rows as (weights, decoded code) pairs."""
-    ranks, codes = oracles_mod._sweep_weightings(n, max_blocks)
+    ranks, codes = oracles_mod._sweep_weightings(n, k)
     width = (n * n + 7) // 8
     assert type(ranks) is bytes and type(codes) is bytes
     assert len(ranks) % (n + 1) == 0 and len(codes) == len(ranks) // (n + 1) * width
@@ -1073,8 +1108,8 @@ def test_sweep_table_is_the_unreversed_weak_orderings():
     keys = sorted({(n, min(b, n)) for n in range(1, 7) for b in (n, 1, 2, 3)})
     keys += [(7, 3), (7, 7), (8, 3)]
     for n, k in keys:
-        order = [w for w in weak_orderings(n, k) if max(w) == k]
-        assert list(oracles_mod._exact_weak_orderings(n, k)) == order, (n, k)
+        order = [w for w in _reference_weightings(n, k) if max(w) == k]
+        assert list(weak_orderings(n, blocks=k)) == order, (n, k)
         if k == n:  # the total orders: vertices by rank in permutations order
             by_rank = [tuple(sorted(range(1, n + 1), key=lambda v: w[v - 1])) for w in order]
             assert by_rank == list(itertools.permutations(range(1, n + 1))), n
@@ -1103,15 +1138,15 @@ def test_sweep_table_is_the_unreversed_weak_orderings():
 
 
 def test_sweep_table_is_built_once_per_key(monkeypatch):
-    real = oracles_mod._exact_weak_orderings
-    generations: dict[tuple[int, int], int] = {}
+    real = oracles_mod.weak_orderings
+    generations: dict[tuple[int, int | None], int] = {}
 
-    def counting(n, k):
-        generations[n, k] = generations.get((n, k), 0) + 1
-        return real(n, k)
+    def counting(n, *, blocks=None):
+        generations[n, blocks] = generations.get((n, blocks), 0) + 1
+        return real(n, blocks=blocks)
 
     oracles_mod._sweep_weightings.cache_clear()
-    monkeypatch.setattr(oracles_mod, "_exact_weak_orderings", counting)
+    monkeypatch.setattr(oracles_mod, "weak_orderings", counting)
     for n in range(1, 6):
         for g in enumerate_graphs(n):
             f_argmax(g)
@@ -1168,8 +1203,8 @@ def test_sweep_pattern_key_is_exact(monkeypatch):
     """A row's code ANDed with the graph's adjacency is its comparison pattern
     on the edges, which fixes chi_POC, so a sweep solves each pattern once."""
     for n in range(1, 6):
-        for max_blocks in sorted({min(b, n) for b in (n, 1, 2, 3)}):
-            rows = _table_rows(n, max_blocks)
+        for k in sorted({min(b, n) for b in (n, 1, 2, 3)}):
+            rows = _table_rows(n, k)
             for g in enumerate_graphs(n):
                 adjacency = sum(
                     1 << ((v - 1) * n + u - 1) for v in range(1, n + 1) for u in g.adjacency[v]
@@ -1204,11 +1239,11 @@ def test_sweep_pattern_key_is_exact(monkeypatch):
         for g in enumerate_graphs(n):
             sweeps = [(n, lambda: f_argmax(g))]
             sweeps += [(min(t, n), lambda t=t: chi_poc_t_argmax(g, t)) for t in (1, 2, 3)]
-            for max_blocks, sweep in sweeps:
-                patterns = {_edge_signs(g, weights) for weights, _ in _table_rows(n, max_blocks)}
+            for k, sweep in sweeps:
+                patterns = {_edge_signs(g, weights) for weights, _ in _table_rows(n, k)}
                 solved = 0
                 sweep()
-                assert 1 <= solved <= len(patterns), (g, max_blocks)
+                assert 1 <= solved <= len(patterns), (g, k)
 
 
 def test_total_order_patterns_are_the_acyclic_orientations():
@@ -1238,6 +1273,62 @@ def test_total_order_patterns_are_the_acyclic_orientations():
                     sinks = sum(1 << v for v in range(n) if left >> v & 1 and not heads[v] & left)
                     assert sinks, (g, key)  # a cycle has no sink
                     left ^= sinks
+
+
+def _connected_partitions(g: Graph) -> Iterator[list[tuple[int, ...]]]:
+    """The partitions of g's vertices into blocks that each induce a connected
+    subgraph: the flats of g's graphic arrangement."""
+
+    def partitions(items: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for size in range(len(rest) + 1):
+            for others in itertools.combinations(rest, size):
+                left = tuple(x for x in rest if x not in others)
+                for tail in partitions(left):
+                    yield [(first, *others), *tail]
+
+    def connected(block: tuple[int, ...]) -> bool:
+        reached, todo = {block[0]}, [block[0]]
+        while todo:
+            v = todo.pop()
+            for u in g.adjacency[v]:
+                if u in block and u not in reached:
+                    reached.add(u)
+                    todo.append(u)
+        return len(reached) == len(block)
+
+    for partition in partitions(tuple(range(1, g.n + 1))):
+        if all(connected(block) for block in partition):
+            yield partition
+
+
+def test_weak_ordering_patterns_are_the_arrangement_faces():
+    """The distinct edge-sign vectors over every weak ordering are the faces of
+    g's graphic arrangement (Zaslavsky 1975): one per connected partition pi
+    and acyclic orientation of the contraction g / pi, |P_{g/pi}(-1)| of them
+    by deletion-contraction. Totals over all graphs: 1, 4, 26, 313, 5 140."""
+    totals = []
+    for n in range(1, 6):
+        weightings = list(weak_orderings(n))
+        total = 0
+        for g in enumerate_graphs(n):
+            patterns = {_edge_signs(g, w) for w in weightings}
+            faces = 0
+            for partition in _connected_partitions(g):
+                block_of = {v: i for i, block in enumerate(partition) for v in block}
+                contracted = {
+                    (min(block_of[u], block_of[v]), max(block_of[u], block_of[v]))
+                    for u, v in g.edges
+                    if block_of[u] != block_of[v]
+                }
+                faces += _stanley_count(len(partition), contracted)
+            assert len(patterns) == faces, g
+            total += faces
+        totals.append(total)
+    assert totals == [1, 4, 26, 313, 5140]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 import graphlib
 import pytest
@@ -11,6 +12,7 @@ from pocgraph import (
     Orientation,
     WeightedGraph,
     build_good_orientation,
+    complete_graph,
     dag_longest_path,
     first_violation,
     greedy_poc,
@@ -193,16 +195,48 @@ def test_stack_coloring_blocks_are_increasing():
                     assert c.color(u) < c.color(v)
 
 
+def _induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+    """Subgraph induced by the vertex set s, plus the old->new id map.
+
+    New ids are 1..|s| in increasing order of the old ids.
+    """
+    keep = sorted(set(s))
+    for v in keep:
+        if not (1 <= v <= g.n):
+            raise ValueError(f"vertex id {v} out of range 1..{g.n}")
+    idmap = {old: new for new, old in enumerate(keep, start=1)}
+    edges = frozenset(
+        (idmap[u], idmap[v]) for u, v in g.edges if u in idmap and v in idmap
+    )
+    return Graph(len(keep), edges), idmap
+
+
+def test_induced_subgraph_examples(c4w):
+    sub, idmap = _induced_subgraph(c4w.graph, {1, 2})
+    assert sub.n == 2 and sub.edges == frozenset({(1, 2)})
+    assert idmap == {1: 1, 2: 2}
+
+    empty, idmap = _induced_subgraph(c4w.graph, set())
+    assert empty.n == 0 and empty.m == 0 and idmap == {}
+
+    k4 = complete_graph(4)
+    tri, _ = _induced_subgraph(k4, {2, 3, 4})
+    assert tri == complete_graph(3)
+
+    with pytest.raises(ValueError, match="out of range"):
+        _induced_subgraph(k4, {5})
+
+
 def _reference_stack_coloring(g: WeightedGraph) -> Coloring:
-    """Per-class members plus induced_subgraph, rescanning g once per class."""
-    from pocgraph import induced_subgraph, proper_coloring_exact
+    """Per-class members plus _induced_subgraph, rescanning g once per class."""
+    from pocgraph import proper_coloring_exact
 
     g = normalize_weights(g)
     colors = [0] * (g.n + 1)
     offset = 0
     for value in range(1, max(g.weights) + 1):
         members = [v for v in range(1, g.n + 1) if g.weight(v) == value]
-        sub, idmap = induced_subgraph(g.graph, members)
+        sub, idmap = _induced_subgraph(g.graph, members)
         sub_coloring = proper_coloring_exact(sub)
         for v in members:
             colors[v] = offset + sub_coloring.color(idmap[v])
