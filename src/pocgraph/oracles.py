@@ -109,9 +109,10 @@ def weak_orderings(n: int, *, blocks: int | None = None) -> Iterator[tuple[int, 
     block at rank r takes at most ``len(items) - owed`` members, where
     ``owed = blocks - r`` (0 without ``blocks``) leaves one member for each
     later rank, and the last rank (n, or ``blocks``) takes every remaining
-    vertex, so no branch is dead. Each (remainder, owed) pair's (block, rest)
-    splits are listed once per call, and kept only from rank 3 on: a rank-2
-    remainder is the complement of one first block, so it never recurs.
+    vertex, so no branch is dead. A remainder's (block, rest) splits depend
+    on owed, so they are listed once per (remainder, owed) and call, in
+    ``splits[owed]``, and kept only from rank 3 on: a rank-2 remainder is the
+    complement of one first block, so it never recurs.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -122,7 +123,9 @@ def weak_orderings(n: int, *, blocks: int | None = None) -> Iterator[tuple[int, 
         return
     last = n if blocks is None else blocks
     w = [0] * n
-    splits: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    splits: list[dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]]] = [
+        {} for _ in range(last)
+    ]
 
     def extend(items: tuple[int, ...], rank: int) -> Iterator[tuple[int, ...]]:
         if rank == last:
@@ -131,7 +134,7 @@ def weak_orderings(n: int, *, blocks: int | None = None) -> Iterator[tuple[int, 
             yield tuple(w)
             return
         owed = 0 if blocks is None else blocks - rank
-        pairs = splits.get((items, owed))
+        pairs = splits[owed].get(items)
         if pairs is None:
             pairs = [
                 (block, tuple(x for x in items if x not in block))
@@ -139,7 +142,7 @@ def weak_orderings(n: int, *, blocks: int | None = None) -> Iterator[tuple[int, 
                 for block in itertools.combinations(items, size)
             ]
             if rank >= 3:
-                splits[items, owed] = pairs
+                splits[owed][items] = pairs
         for block, rest in pairs:
             for v in block:
                 w[v] = rank
