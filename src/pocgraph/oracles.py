@@ -870,7 +870,7 @@ def chi_poc_t_argmax(
       (a POC within theta colors is one within theta + 1), so its search goes
       on from best + 1.
 
-    The ``best == n`` ceiling still ends the sweep early. The ``weightings``
+    The ``best == n`` ceiling ends the sweep early. The ``weightings``
     cap counts the weightings walked: k! S(n, k), the surjections onto k
     ranks.
     """
