@@ -985,6 +985,31 @@ def test_chi_poc_exact_matches_reference_search():
         assert witness.palette == value
 
 
+def test_poc_search_meets_its_above_contract():
+    """solve(row, above) on every weighting of every graph with n <= 5 and
+    every above in 0..n: the value is max(above, chi_POC) and the colors are
+    a POC within it; a value above ``above`` comes with the reference's
+    witness."""
+    for n in range(1, 6):
+        weightings = list(weak_orderings(n))
+        for g in enumerate_graphs(n):
+            solve = oracles_mod._poc_search(g)
+            edges = g.sorted_edges()
+            for weights in weightings:
+                chi, witness = _reference_chi_poc(WeightedGraph(g, weights))
+                row = (0, *weights)
+                for above in range(n + 1):
+                    value, colors = solve(row, above)
+                    assert value == max(above, chi), (g, weights, above)
+                    assert all(1 <= c <= value for c in colors[1:]), (g, weights, above)
+                    for u, v in edges:
+                        a, b = (u, v) if row[u] <= row[v] else (v, u)
+                        ordered = colors[a] < colors[b] if row[a] < row[b] else colors[a] != colors[b]
+                        assert ordered, (g, weights, above, colors)
+                    if value > above:
+                        assert tuple(colors[1:]) == witness, (g, weights, above)
+
+
 def _sweep_graphs():
     yield from (g for n in range(1, 6) for g in enumerate_graphs(n))
     yield from random.Random(29).sample(list(enumerate_graphs(6)), 3)
@@ -1042,6 +1067,18 @@ def test_ellprime_digest_is_pinned():
     digest = _digest_tool()
     assert digest.summarize(itertools.islice(digest.ellprime_lines(), 884)) == (
         884, 0, "cc83fb48414fd643960511458474643fd4d16a0d26b47f24725b53f92e1c9088"
+    )
+
+
+def test_chipoc_digest_is_pinned():
+    # the witness contract of chi_poc_exact, "the first coloring that
+    # _poc_search's descent reaches at the least palette", as the digest
+    # tool's chipoc section over every weighting, in weak_orderings order, of
+    # every graph with n <= 4, its first 884 lines, as for ellprime; it
+    # changes only with that contract or with that order
+    digest = _digest_tool()
+    assert digest.summarize(itertools.islice(digest.chipoc_lines(), 884)) == (
+        884, 0, "b10d2dcecf52ff0f1bf641128a31ee4c95fb56d1329197de7875f68a78ad41d5"
     )
 
 

@@ -21,6 +21,14 @@ oracles agree in value, witness and refusal print the same sections.
   and the witness weighting, on every graph with n <= 6; then
   ``chi_poc_t_argmax`` for t = 1..3 on ``SWEEP_GRAPHS`` G(n, p) graphs for
   each n in ``SWEEP_N``, seeded with ``SEED``. All under the default caps.
+- ``chipoc``: ``chi_poc_exact``, the value and the witness colors, on every
+  weighting (up to order) of every graph with n <= 5, then ``GRAPHS`` G(n, p)
+  instances seeded with ``SEED``, n <= ``CHIPOC_N``, weights in 1..t, t <= n.
+  All under the default caps.
+
+``tools/digest.expected`` holds this tree's output, so
+``PYTHONPATH=src python tools/digest.py . | diff - tools/digest.expected``
+checks a change against it.
 
 Uses the standard library only.
 """
@@ -38,6 +46,7 @@ SEED = 7
 GRAPHS = 3000
 SWEEP_GRAPHS = 40
 SWEEP_N = (7, 8)
+CHIPOC_N = 10
 
 
 def ellprime_lines() -> Iterator[str]:
@@ -92,6 +101,29 @@ def sweeps_lines() -> Iterator[str]:
                 yield run(g, t)
 
 
+def chipoc_lines() -> Iterator[str]:
+    """The ``chipoc`` section, lazily: the graphs with n <= 4 come first."""
+    import pocgraph
+    from pocgraph import oracles
+
+    def run(g: pocgraph.WeightedGraph) -> str:
+        try:
+            value, witness = oracles.chi_poc_exact(g)
+        except oracles.CapExceeded as exc:
+            return f"refused {exc.cap}={exc.limit}"
+        return f"{value} {witness.colors}"
+
+    for n in range(1, 6):
+        weightings = list(oracles.weak_orderings(n))
+        for graph in oracles.enumerate_graphs(n):
+            for weights in weightings:
+                yield run(pocgraph.WeightedGraph(graph, weights))
+    rng = random.Random(SEED)
+    for _ in range(GRAPHS):
+        n = rng.randint(1, CHIPOC_N)
+        yield run(pocgraph.random_weighted_graph(rng, n, rng.random(), rng.randint(1, n)))
+
+
 def summarize(lines: Iterable[str]) -> tuple[int, int, str]:
     """(lines, refusals, sha256) over one section's lines."""
     digest = hashlib.sha256()
@@ -103,7 +135,7 @@ def summarize(lines: Iterable[str]) -> tuple[int, int, str]:
     return count, refusals, digest.hexdigest()
 
 
-SECTIONS = {"ellprime": ellprime_lines, "sweeps": sweeps_lines}
+SECTIONS = {"ellprime": ellprime_lines, "sweeps": sweeps_lines, "chipoc": chipoc_lines}
 
 
 def main(argv: list[str] | None = None) -> int:
