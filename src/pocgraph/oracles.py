@@ -17,9 +17,9 @@ run it only on the weightings with exactly min(t, n) values
 ordering with at most t values is one of them; for f these are the total
 orders. They walk one cached table of weightings per (n, min(t, n))
 (``_sweep_weightings``) that every graph and every t share. They skip
-reversed weightings, skip repeated edge-comparison patterns and try the
-running best's palette first: three exact savings, set out in
-``chi_poc_t_argmax``. No saving consults a longest path, so f stays
+reversed weightings, skip repeated edge-comparison patterns, try the
+running best's palette first and try first fit before any search: four
+exact savings, set out in ``chi_poc_t_argmax``. No saving consults a longest path, so f stays
 independent of ell(G).
 
 ``ell_prime_orientation`` only chooses the orientation of each equal-weight
@@ -352,6 +352,28 @@ def _poc_search(g: Graph) -> Callable[[Sequence[int], int], tuple[int, list[int]
     bounds. When the lower bound is at most ``above``, the palette of exactly
     ``above`` colors is tried first; if it fails, every smaller one fails too,
     because a POC within theta colors is one within theta + 1.
+
+    Before any of that, solve runs first fit along the same order: each
+    vertex takes the least color above its colored lighter neighbours' and
+    unlike its colored equal-weight neighbours' (heavier ones are not colored
+    yet). If no color passes max(above, clique), solve returns
+    max(above, top), top the largest color used, and first fit's colors,
+    which are the ones the search would return:
+
+    - first fit is the search's first descent at any palette theta >= top.
+      By induction along the order, a vertex's first-fit color is at least
+      its ``ending`` bound, so the search's least candidate is first fit's;
+      colors strictly rise along an increasing path, so first fit's color
+      c(v) has c(v) + starting[v] - 1 <= top <= theta and the window never
+      cuts it off;
+    - when top <= above, lower <= chi_POC <= top <= above, so the search
+      tries ``above`` first and returns the first descent;
+    - when above < top <= clique, top = chi_POC = clique = lower, so the
+      search's first palette is ``clique`` and it returns the first descent.
+
+    A sweep's weighting that cannot beat the running best often ends here.
+    Over a total order first fit gives each vertex its ``ending`` bound, so
+    its top is chi_POC.
     """
     n = g.n
     adj = g.adjacency
@@ -362,6 +384,32 @@ def _poc_search(g: Graph) -> Callable[[Sequence[int], int], tuple[int, list[int]
         # stable, so ties keep the (-degree, v) order of base
         order = sorted(base, key=w.__getitem__)
         colors = [0] * (n + 1)
+        # first fit: the search's first descent, kept if it stays within limit
+        limit = max(above, clique)
+        top = 0
+        for v in order:
+            wv = w[v]
+            c = 1
+            taken = set()
+            for u in adj[v]:
+                cu = colors[u]
+                if not cu:
+                    continue
+                if w[u] < wv:
+                    if cu >= c:
+                        c = cu + 1
+                else:
+                    taken.add(cu)
+            while c in taken:
+                c += 1
+            if c > limit:
+                colors = [0] * (n + 1)
+                break
+            colors[v] = c
+            if c > top:
+                top = c
+        else:
+            return max(above, top), colors
         ending, starting = _increasing_chain_bounds(adj, w, order)
         lower = max(max(ending), clique)
 
@@ -853,7 +901,7 @@ def chi_poc_t_argmax(
     The sweep prepares one search per graph (``_poc_search``) and walks one
     cached table per (n, k) (``_sweep_weightings``) whose rows are
     vertex-indexed weights (index 0 unused), built once and shared by every
-    graph and every t. It skips work in three exact ways:
+    graph and every t. It skips work in four exact ways:
 
     - a weighting whose reversal w -> k + 1 - w came earlier is skipped: the
       reversal maps each POC c to theta + 1 - c, so both have the same
@@ -868,7 +916,10 @@ def chi_poc_t_argmax(
     - a weighting is first tried at the running best's palette. A POC there
       means it cannot beat the best; none there means none with fewer colors
       (a POC within theta colors is one within theta + 1), so its search goes
-      on from best + 1.
+      on from best + 1;
+    - before its chain bounds are built, a weighting is colored by first fit
+      (see ``_poc_search``). A first-fit coloring within the best's palette
+      settles it without a search, as one within the clique size does.
 
     The ``best == n`` ceiling ends the sweep early. The ``weightings``
     cap counts the weightings walked: k! S(n, k), the surjections onto k

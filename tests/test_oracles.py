@@ -1283,6 +1283,35 @@ def test_sweep_pattern_key_is_exact(monkeypatch):
                 assert 1 <= solved <= len(patterns), (g, k)
 
 
+def test_f_sweep_builds_chain_bounds_only_to_improve(monkeypatch):
+    """Over a total order, first fit colors each vertex with the longest
+    increasing path ending there, a lower bound on chi_POC, so it is optimal:
+    a pattern that cannot raise f's running best never reaches the chain
+    bounds, and one that can reaches them at most once."""
+    bounds = _spy(monkeypatch, "_increasing_chain_bounds")
+    real = oracles_mod._poc_search
+    improved = 0
+
+    def counting(g):
+        solve = real(g)
+
+        def counted(w, above):
+            nonlocal improved
+            value, colors = solve(w, above)
+            improved += value > above
+            return value, colors
+
+        return counted
+
+    monkeypatch.setattr(oracles_mod, "_poc_search", counting)
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            bounds.clear()
+            improved = 0
+            f_argmax(g)
+            assert len(bounds) <= improved, g
+
+
 def test_total_order_patterns_are_the_acyclic_orientations():
     """Over the total orders, f's table, the pattern keys ``code & adjacency``
     together with their reversals are exactly the acyclic orientations of G
