@@ -19,8 +19,8 @@ orders. They walk one cached table of weightings per (n, min(t, n))
 (``_sweep_weightings``) that every graph and every t share. They skip
 reversed weightings, skip repeated edge-comparison patterns, try the
 running best's palette first and try first fit before any search: four
-exact savings, set out in ``chi_poc_t_argmax``. No saving consults a longest path, so f stays
-independent of ell(G).
+exact savings, set out in ``chi_poc_t_argmax``. No saving consults a
+longest path, so f stays independent of ell(G).
 
 ``ell_prime_orientation`` only chooses the orientation of each equal-weight
 class, since every other edge is forced heavier -> lighter. It takes the

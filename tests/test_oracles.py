@@ -1236,6 +1236,25 @@ def _edge_signs(g: Graph, weights: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
+def _spy_solves(monkeypatch) -> list[tuple[int, int]]:
+    """Record (above, value) for each call of a prepared ``_poc_search``."""
+    real = oracles_mod._poc_search
+    seen = []
+
+    def spying(g):
+        solve = real(g)
+
+        def spy(w, above):
+            value, colors = solve(w, above)
+            seen.append((above, value))
+            return value, colors
+
+        return spy
+
+    monkeypatch.setattr(oracles_mod, "_poc_search", spying)
+    return seen
+
+
 def test_sweep_pattern_key_is_exact(monkeypatch):
     """A row's code ANDed with the graph's adjacency is its comparison pattern
     on the edges, which fixes chi_POC, so a sweep solves each pattern once."""
@@ -1256,31 +1275,18 @@ def test_sweep_pattern_key_is_exact(monkeypatch):
                     chi = chi_poc_exact(WeightedGraph(g, weights))[0]
                     assert chi_of.setdefault(key, chi) == chi, (g, weights)
 
-    real = oracles_mod._poc_search
-    solved = 0
-
-    def counting(g):
-        solve = real(g)
-
-        def counted(w, above):
-            nonlocal solved
-            solved += 1
-            return solve(w, above)
-
-        return counted
-
-    monkeypatch.setattr(oracles_mod, "_poc_search", counting)
+    solves = _spy_solves(monkeypatch)
     assert f_argmax(Graph(6, frozenset()))[0] == 1
-    assert solved == 1
+    assert len(solves) == 1
     for n in range(1, 6):
         for g in enumerate_graphs(n):
             sweeps = [(n, lambda: f_argmax(g))]
             sweeps += [(min(t, n), lambda t=t: chi_poc_t_argmax(g, t)) for t in (1, 2, 3)]
             for k, sweep in sweeps:
                 patterns = {_edge_signs(g, weights) for weights, _ in _table_rows(n, k)}
-                solved = 0
+                solves.clear()
                 sweep()
-                assert 1 <= solved <= len(patterns), (g, k)
+                assert 1 <= len(solves) <= len(patterns), (g, k)
 
 
 def test_f_sweep_builds_chain_bounds_only_to_improve(monkeypatch):
@@ -1289,27 +1295,13 @@ def test_f_sweep_builds_chain_bounds_only_to_improve(monkeypatch):
     a pattern that cannot raise f's running best never reaches the chain
     bounds, and one that can reaches them at most once."""
     bounds = _spy(monkeypatch, "_increasing_chain_bounds")
-    real = oracles_mod._poc_search
-    improved = 0
-
-    def counting(g):
-        solve = real(g)
-
-        def counted(w, above):
-            nonlocal improved
-            value, colors = solve(w, above)
-            improved += value > above
-            return value, colors
-
-        return counted
-
-    monkeypatch.setattr(oracles_mod, "_poc_search", counting)
+    solves = _spy_solves(monkeypatch)
     for n in range(1, 7):
         for g in enumerate_graphs(n):
             bounds.clear()
-            improved = 0
+            solves.clear()
             f_argmax(g)
-            assert len(bounds) <= improved, g
+            assert len(bounds) <= sum(value > above for above, value in solves), g
 
 
 def test_total_order_patterns_are_the_acyclic_orientations():
