@@ -1004,8 +1004,10 @@ def test_poc_search_meets_its_above_contract():
                     assert all(1 <= c <= value for c in colors[1:]), (g, weights, above)
                     for u, v in edges:
                         a, b = (u, v) if row[u] <= row[v] else (v, u)
-                        ordered = colors[a] < colors[b] if row[a] < row[b] else colors[a] != colors[b]
-                        assert ordered, (g, weights, above, colors)
+                        if row[a] < row[b]:
+                            assert colors[a] < colors[b], (g, weights, above, colors)
+                        else:
+                            assert colors[a] != colors[b], (g, weights, above, colors)
                     if value > above:
                         assert tuple(colors[1:]) == witness, (g, weights, above)
 
