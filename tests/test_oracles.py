@@ -1084,6 +1084,17 @@ def test_chipoc_digest_is_pinned():
     )
 
 
+def test_h_digest_is_pinned():
+    # the witness contract of h_argmax, "the first weighting in
+    # part_weightings order that attains the maximum", as the digest tool's
+    # h section over every ordered tuple of part sizes with n <= 4, its first
+    # (6 + 4) * 3 = 30 lines; it changes only with that contract or order
+    digest = _digest_tool()
+    assert digest.summarize(itertools.islice(digest.h_lines(), 30)) == (
+        30, 0, "18b4d6080b2382b8093588be947484f8214e584306d3e811f545e38ba7d178c0"
+    )
+
+
 def _reversed(weights: tuple[int, ...]) -> tuple[int, ...]:
     top = max(weights)
     return tuple(top + 1 - x for x in weights)

@@ -25,6 +25,9 @@ oracles agree in value, witness and refusal print the same sections.
   weighting (up to order) of every graph with n <= 5, then ``GRAPHS`` G(n, p)
   instances seeded with ``SEED``, n <= ``CHIPOC_N``, weights in 1..t, t <= n.
   All under the default caps.
+- ``h``: ``h_argmax``, the value and the witness weighting, on every ordered
+  tuple of 2 or 3 part sizes in 1..4 with n <= 9, by n, at t = 1..3. All
+  under the default caps.
 
 ``tools/digest.expected`` holds this tree's output, so
 ``PYTHONPATH=src python tools/digest.py . | diff - tools/digest.expected``
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -121,6 +125,25 @@ def chipoc_lines() -> Iterator[str]:
         yield run(pocgraph.random_weighted_graph(rng, n, rng.random(), rng.randint(1, n)))
 
 
+def h_lines() -> Iterator[str]:
+    """The ``h`` section, lazily: the part tuples with n <= 4 come first."""
+    from pocgraph import multipartite, oracles
+
+    def run(parts: tuple[int, ...], t: int) -> str:
+        try:
+            value, weights = multipartite.h_argmax(parts, t)
+        except oracles.CapExceeded as exc:
+            return f"refused {exc.cap}={exc.limit}"
+        return f"{value} {weights}"
+
+    for n in range(2, 10):
+        for k in (2, 3):
+            for parts in itertools.product(range(1, 5), repeat=k):
+                if sum(parts) == n:
+                    for t in (1, 2, 3):
+                        yield run(parts, t)
+
+
 def summarize(lines: Iterable[str]) -> tuple[int, int, str]:
     """(lines, refusals, sha256) over one section's lines."""
     digest = hashlib.sha256()
@@ -132,7 +155,12 @@ def summarize(lines: Iterable[str]) -> tuple[int, int, str]:
     return count, refusals, digest.hexdigest()
 
 
-SECTIONS = {"ellprime": ellprime_lines, "sweeps": sweeps_lines, "chipoc": chipoc_lines}
+SECTIONS = {
+    "ellprime": ellprime_lines,
+    "sweeps": sweeps_lines,
+    "chipoc": chipoc_lines,
+    "h": h_lines,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
