@@ -444,9 +444,15 @@ def h_argmax(
     combos = prod(comb(size + t - 1, t - 1) for size in part_sizes)
     if combos > caps.weightings:
         raise CapExceeded("weightings", caps.weightings, combos)
+    spans = list(itertools.pairwise(itertools.accumulate(part_sizes, initial=0)))
+    seen: set[tuple[int, ...]] = set()
     best = 0
     best_weights: tuple[int, ...] = ()
     for weights in part_weightings(part_sizes, t):
+        key = tuple(sorted(sum(1 << w for w in set(weights[a:b])) for a, b in spans))
+        if key in seen:
+            continue
+        seen.add(key)
         value = g_value(MultipartiteInstance(part_sizes, weights))
         if value > best:
             best, best_weights = value, weights

@@ -151,7 +151,10 @@ def weak_orderings(n: int, *, blocks: int | None = None) -> Iterator[tuple[int, 
             else:
                 yield tuple(w)
 
-    yield from extend(tuple(range(n)), 1)
+    try:
+        yield from extend(tuple(range(n)), 1)
+    finally:
+        del extend  # it holds itself, and so ``splits``, in a reference cycle
 
 
 # ---------------------------------------------------------------------------
@@ -943,11 +946,25 @@ def chi_poc_t_argmax(
     adjacency = 0  # the layout of a code: v's field holds v's neighbours
     for u, v in g.edges:
         adjacency |= 1 << (u - 1) * n + v - 1 | 1 << (v - 1) * n + u - 1
+    # u's field holds bit v - 1 for the next member v > u of u's twin class:
+    # set in a code when v is lighter than u. An open neighbourhood never
+    # equals a closed one (N(x) = N[y] puts y in N(x), so x in N[y] = N(x)),
+    # so one map keyed by both finds false and true twins.
+    twins = 0
+    last: dict[frozenset[int], int] = {}
+    for v, hood in enumerate(g.adjacency[1:], start=1):
+        for key in (hood, hood | {v}):
+            if key in last:
+                twins |= 1 << (last[key] - 1) * n + v - 1
+            last[key] = v
     seen: set[int] = set()
     best = 0
     best_weights: tuple[int, ...] = ()
     for start, at in zip(range(0, len(ranks), stride), range(0, len(codes), width)):
-        pattern = int.from_bytes(codes[at:at + width], "little") & adjacency
+        code = int.from_bytes(codes[at:at + width], "little")
+        if code & twins:
+            continue
+        pattern = code & adjacency
         if pattern in seen:
             continue
         seen.add(pattern)

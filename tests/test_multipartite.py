@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterator
 
 import pytest
 
@@ -25,6 +26,7 @@ from pocgraph import (
     find_max_spaths,
     find_mocs,
     g_value,
+    h_argmax,
     h_value,
     is_valid_poc,
     mocs_coloring,
@@ -32,6 +34,7 @@ from pocgraph import (
     validate_spaths,
     weak_orderings,
 )
+import pocgraph.multipartite as multipartite_mod
 from pocgraph.multipartite import part_weightings
 from pocgraph.oracles import enumerate_graphs
 
@@ -331,6 +334,55 @@ def test_part_weightings_are_the_sorted_weak_orderings():
                 )
             }
             assert set(listed) == sorted_inside, (sizes, t)
+
+
+def _ordered_part_tuples() -> Iterator[tuple[int, ...]]:
+    """Every ordered tuple of two or more part sizes with n <= 6, then those
+    of two or three parts with n = 7 and 8 (every tuple with n <= 8 would
+    take the reference about 20 s)."""
+    for n in range(2, 9):
+        for k in range(2, n + 1 if n <= 6 else 4):
+            for sizes in itertools.product(range(1, n), repeat=k):
+                if sum(sizes) == n:
+                    yield sizes
+
+
+def _signature(sizes: tuple[int, ...], weights: tuple[int, ...]) -> tuple:
+    """The multiset of per-part value sets, which is all that g reads."""
+    starts = list(itertools.accumulate(sizes, initial=0))
+    return tuple(sorted(tuple(sorted(set(weights[a:b]))) for a, b in zip(starts, starts[1:])))
+
+
+def test_h_argmax_matches_the_first_strict_maximum_of_g():
+    for sizes in _ordered_part_tuples():
+        for t in (1, 2, 3):
+            best, best_weights = 0, ()
+            for weights in part_weightings(sizes, t):
+                value = g_value(MultipartiteInstance(sizes, weights))
+                if value > best:
+                    best, best_weights = value, weights
+            assert h_argmax(sizes, t) == (best, best_weights), (sizes, t)
+
+
+def test_h_argmax_runs_g_once_per_signature(monkeypatch):
+    """g depends only on the multiset of per-part value sets, so h_argmax
+    runs it on the first weighting of each signature and skips the rest."""
+    real = multipartite_mod.g_value
+    calls = []
+
+    def spy(inst):
+        calls.append(inst.weights)
+        return real(inst)
+
+    monkeypatch.setattr(multipartite_mod, "g_value", spy)
+    for sizes in _ordered_part_tuples():
+        for t in (1, 2, 3):
+            first = {}
+            for weights in part_weightings(sizes, t):
+                first.setdefault(_signature(sizes, weights), weights)
+            calls.clear()
+            h_argmax(sizes, t)
+            assert calls == list(first.values()), (sizes, t)
 
 
 def test_h_matches_the_sweep_on_k333_under_default_caps():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import gc
 import importlib.util
 import itertools
 import math
@@ -818,6 +819,31 @@ def test_weak_orderings_keep_the_reference_order():
         _weak_orderings_outside(n)
 
 
+def test_weak_orderings_leave_no_cycle_behind():
+    # the recursive walker holds itself, and so its split cache, in a cycle;
+    # a walk that ends, is closed early or is dropped unfinished breaks it,
+    # so the cache is freed at once, not at the next collection
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for n, blocks in ((5, None), (7, 3)):
+            assert sum(1 for _ in weak_orderings(n, blocks=blocks))
+            closed = weak_orderings(n, blocks=blocks)
+            next(closed)
+            closed.close()
+            dropped = weak_orderings(n, blocks=blocks)
+            next(dropped)
+            del dropped
+        gc.collect()
+        left = [o for o in gc.garbage if getattr(o, "__qualname__", "").startswith("weak_orderings")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not left
+
+
 # ---------------------------------------------------------------------------
 # f and chi_poc_t
 # ---------------------------------------------------------------------------
@@ -1249,8 +1275,9 @@ def _edge_signs(g: Graph, weights: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def _spy_solves(monkeypatch) -> list[tuple[int, int]]:
-    """Record (above, value) for each call of a prepared ``_poc_search``."""
+def _spy_solves(monkeypatch) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Record (above, value, weights) for each call of a prepared
+    ``_poc_search``."""
     real = oracles_mod._poc_search
     seen = []
 
@@ -1259,7 +1286,7 @@ def _spy_solves(monkeypatch) -> list[tuple[int, int]]:
 
         def spy(w, above):
             value, colors = solve(w, above)
-            seen.append((above, value))
+            seen.append((above, value, tuple(w[1:])))
             return value, colors
 
         return spy
@@ -1302,6 +1329,77 @@ def test_sweep_pattern_key_is_exact(monkeypatch):
                 assert 1 <= len(solves) <= len(patterns), (g, k)
 
 
+def _twin_classes(g: Graph) -> list[list[int]]:
+    """The classes of u ~ v when N(u) - {v} = N(v) - {u}, members ascending."""
+    adj = g.adjacency
+    classes: list[list[int]] = []
+    for v in range(1, g.n + 1):
+        for members in classes:
+            if adj[members[0]] - {v} == adj[v] - {members[0]}:
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def _twin_sorted(weights: tuple[int, ...], classes: list[list[int]]) -> tuple[int, ...]:
+    """weights with each twin class's ranks sorted: lower ids get lower ranks."""
+    out = list(weights)
+    for members in classes:
+        for v, rank in zip(members, sorted(weights[v - 1] for v in members)):
+            out[v - 1] = rank
+    return tuple(out)
+
+
+def test_twin_sorting_moves_a_weighting_earlier_and_keeps_chi_poc():
+    """The premise of the sweep's twin skip: a twin swap is an automorphism,
+    and sorting a weighting inside its twin classes gives one that
+    weak_orderings lists earlier."""
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            order = list(weak_orderings(n, blocks=k))
+            position = {w: i for i, w in enumerate(order)}
+            for g in enumerate_graphs(n):
+                classes = _twin_classes(g)
+                for i, weights in enumerate(order):
+                    twin_sorted = _twin_sorted(weights, classes)
+                    if twin_sorted == weights:
+                        continue
+                    assert position[twin_sorted] < i, (g, weights)
+                    assert (
+                        _reference_chi_poc(WeightedGraph(g, twin_sorted))[0]
+                        == _reference_chi_poc(WeightedGraph(g, weights))[0]
+                    ), (g, weights)
+
+
+def test_sweep_solves_the_first_twin_sorted_row_of_each_pattern(monkeypatch):
+    """The sweep solves, in table order, the first row of each edge pattern
+    among the rows sorted inside every twin class, until best reaches n."""
+    solves = _spy_solves(monkeypatch)
+    cases = [
+        (g, k, lambda g=g, k=k: chi_poc_t_argmax(g, k))
+        for n in range(1, 6)
+        for g in enumerate_graphs(n)
+        for k in range(1, n + 1)
+    ]
+    k233 = complete_multipartite_graph((2, 3, 3))
+    cases.append((k233, 3, lambda: chi_poc_t_argmax(k233, 3)))
+    for g, k, sweep in cases:
+        classes = _twin_classes(g)
+        expected, patterns = [], set()
+        for weights, _ in _table_rows(g.n, k):
+            signs = _edge_signs(g, weights)
+            if _twin_sorted(weights, classes) == weights and signs not in patterns:
+                patterns.add(signs)
+                expected.append(weights)
+        solves.clear()
+        value, _ = sweep()
+        solved = [weights for _, _, weights in solves]
+        assert solved == expected[:len(solved)], (g, k)
+        assert len(solved) == len(expected) or value == g.n, (g, k)
+
+
 def test_f_sweep_builds_chain_bounds_only_to_improve(monkeypatch):
     """Over a total order, first fit colors each vertex with the longest
     increasing path ending there, a lower bound on chi_POC, so it is optimal:
@@ -1314,7 +1412,7 @@ def test_f_sweep_builds_chain_bounds_only_to_improve(monkeypatch):
             bounds.clear()
             solves.clear()
             f_argmax(g)
-            assert len(bounds) <= sum(value > above for above, value in solves), g
+            assert len(bounds) <= sum(value > above for above, value, _ in solves), g
 
 
 def test_total_order_patterns_are_the_acyclic_orientations():
