@@ -436,7 +436,16 @@ def h_argmax(
 ) -> tuple[int, tuple[int, ...]]:
     """max of g over all weightings with values in 1..t, plus the first
     weighting in ``part_weightings`` order attaining it. The ``weightings``
-    cap counts the choices of one weight multiset per part."""
+    cap counts the choices of one weight multiset per part.
+
+    g runs once per signature, the sorted tuple of per-part value masks, and
+    a weighting whose signature came earlier is skipped. This is exact: g
+    reads only which (value, part) slots are filled and the clique sizes
+    (see ``g_value``), and relabelling the parts maps path families to path
+    families of the same size and component count, so g is a function of
+    the multiset of per-part value sets. A skipped weighting has an earlier
+    one with the same g, and the best is replaced only on a strictly greater
+    value, so the witness is unchanged."""
     if len(part_sizes) < 2:
         raise ValueError("need at least 2 parts")
     if t < 1:

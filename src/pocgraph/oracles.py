@@ -17,10 +17,11 @@ run it only on the weightings with exactly min(t, n) values
 ordering with at most t values is one of them; for f these are the total
 orders. They walk one cached table of weightings per (n, min(t, n))
 (``_sweep_weightings``) that every graph and every t share. They skip
-reversed weightings, skip repeated edge-comparison patterns, try the
-running best's palette first and try first fit before any search: four
-exact savings, set out in ``chi_poc_t_argmax``. No saving consults a
-longest path, so f stays independent of ell(G).
+reversed weightings, skip weightings unsorted inside a twin class, skip
+repeated edge-comparison patterns, try the running best's palette first and
+try first fit before any search: five exact savings, set out in
+``chi_poc_t_argmax``. No saving consults a longest path, so f stays
+independent of ell(G).
 
 ``ell_prime_orientation`` only chooses the orientation of each equal-weight
 class, since every other edge is forced heavier -> lighter. It takes the
@@ -112,7 +113,8 @@ def weak_orderings(n: int, *, blocks: int | None = None) -> Iterator[tuple[int, 
     vertex, so no branch is dead. A remainder's (block, rest) splits depend
     on owed, so they are listed once per (remainder, owed) and call, in
     ``splits[owed]``, and kept only from rank 3 on: a rank-2 remainder is the
-    complement of one first block, so it never recurs.
+    complement of one first block, so it never recurs. They are freed as soon
+    as the walk ends or is closed.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -847,7 +849,8 @@ def _sweep_weightings(n: int, k: int) -> tuple[bytes, bytes]:
     than v. ANDed with a graph's adjacency in the same layout, a code keeps
     each vertex's lighter neighbours: the weighting's comparison pattern on
     the edges. ``chi_poc_t_argmax`` solves only the first row of each
-    pattern in its sweep.
+    pattern in its sweep, among the rows it does not skip by twin class: a
+    code ANDed with a mask of twin pairs tests those.
     """
     ranks = bytearray()
     codes = bytearray()
@@ -904,16 +907,28 @@ def chi_poc_t_argmax(
     The sweep prepares one search per graph (``_poc_search``) and walks one
     cached table per (n, k) (``_sweep_weightings``) whose rows are
     vertex-indexed weights (index 0 unused), built once and shared by every
-    graph and every t. It skips work in four exact ways:
+    graph and every t. It skips work in five exact ways:
 
     - a weighting whose reversal w -> k + 1 - w came earlier is skipped: the
       reversal maps each POC c to theta + 1 - c, so both have the same
       chi_POC, and the best is replaced only on a strictly greater value;
-    - a weighting is skipped before it is solved when an earlier one of the
-      sweep has the same comparison pattern on the edges: the row's code
+    - a weighting is skipped when some twin class of g (vertices with equal
+      open neighbourhoods, or equal closed ones) does not give its lower ids
+      the lower ranks; one AND of the row's code tests every class. Swapping
+      two twins is an automorphism, so it keeps chi_POC. Sorting the ranks
+      inside each class gives a weighting that ``weak_orderings`` lists
+      earlier: at the first rank whose blocks differ, the sorted one's block
+      takes, in each class, the least ids left, so it is componentwise at
+      most the other and comes first in ``combinations`` order. If the
+      sorted weighting's reversal came earlier still, that reversal stands
+      for it. So every skipped weighting has an earlier one in the table
+      with equal chi_POC, and the first maximiser is never skipped; the
+      skip reads no longest path;
+    - a weighting is skipped before it is solved when an earlier solved one
+      has the same comparison pattern on the edges: the row's code
       ANDed with g's adjacency, which names each vertex's strictly lighter
       neighbours. A POC's conditions compare the weights of an edge's ends
-      and nothing else, so the pattern fixes chi_POC. Solving its first row
+      and nothing else, so the pattern fixes chi_POC. Solving that earlier row
       left the best at least that value, so the witness is still the first
       row to attain the maximum. The pattern reads no longest path;
     - a weighting is first tried at the running best's palette. A POC there
@@ -948,7 +963,7 @@ def chi_poc_t_argmax(
         adjacency |= 1 << (u - 1) * n + v - 1 | 1 << (v - 1) * n + u - 1
     # u's field holds bit v - 1 for the next member v > u of u's twin class:
     # set in a code when v is lighter than u. An open neighbourhood never
-    # equals a closed one (N(x) = N[y] puts y in N(x), so x in N[y] = N(x)),
+    # equals a closed one (N(x) = N[y] would put y in N(x), so x in N(x)),
     # so one map keyed by both finds false and true twins.
     twins = 0
     last: dict[frozenset[int], int] = {}

@@ -338,8 +338,8 @@ def test_part_weightings_are_the_sorted_weak_orderings():
 
 def _ordered_part_tuples() -> Iterator[tuple[int, ...]]:
     """Every ordered tuple of two or more part sizes with n <= 6, then those
-    of two or three parts with n = 7 and 8 (every tuple with n <= 8 would
-    take the reference about 20 s)."""
+    of two or three parts with n = 7 and 8: every tuple with n <= 8 would
+    give the reference 230 858 weightings, 10 times as many."""
     for n in range(2, 9):
         for k in range(2, n + 1 if n <= 6 else 4):
             for sizes in itertools.product(range(1, n), repeat=k):
