@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("selftest", help="run the theorem-verification suites")
-    p.add_argument("--scale", choices=("quick", "full"), default="quick")
+    p.add_argument("--scale", choices=selftest.SCALES, default="quick")
     p.set_defaults(func=cmd_selftest)
 
     return parser

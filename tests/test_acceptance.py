@@ -9,11 +9,14 @@ families for fast local runs (the default is the full desk-scale suite).
 
 from __future__ import annotations
 
+import inspect
 import os
+
+import pytest
 
 from pocgraph import Coloring, WeightedGraph, build_good_orientation, path_graph
 from pocgraph.oracles import DEFAULT_CAPS
-from pocgraph.selftest import CHECKS, Check, _Context, _height_problem, run_check
+from pocgraph.selftest import CHECKS, SCALES, Check, _Context, _height_problem, run_check
 
 SCALE = os.environ.get("POC_ACCEPTANCE_SCALE", "full")
 
@@ -123,6 +126,20 @@ def test_table_integrity():
     assert sorted(c.name for checks in GENERATED.values() for c in checks) == sorted(names)
     # no hand-written test shadows a generated one
     assert all(globals()[name].__name__ == "test" for name in GENERATED)
+
+
+def test_every_row_has_one_family_per_scale_that_its_check_takes():
+    for check in CHECKS:
+        families = [getattr(check, scale) for scale in SCALES]
+        assert all(family.keys() == families[0].keys() for family in families), check.name
+        for family in families:
+            inspect.signature(check.run).bind(None, **family)
+
+
+def test_context_refuses_an_unknown_scale():
+    # a mistyped POC_ACCEPTANCE_SCALE fails here, not after running quick families
+    with pytest.raises(ValueError, match="'ful'"):
+        _Context("ful", DEFAULT_CAPS)
 
 
 def test_height_certificate_refuses_heights_plus_one():

@@ -509,6 +509,19 @@ def test_selftest_exit_code_on_failure(capsys, monkeypatch):
     assert rc == 1
     assert "fail theorem3-chi-poc-equals-ell-prime" in out
     assert "n=" in out  # the failing instance is named
+    (fail,) = [line for line in out.splitlines() if line.startswith("fail ")]
+    (row,) = selftest.CHECKS
+    assert fail.endswith(f" expected={row.claim}")
+
+
+def test_selftest_exact_row_fails_on_any_other_observation(monkeypatch):
+    # a fixture row's claim is its observed string, so one count off fails it
+    _only_checks(monkeypatch, "c4w-fixture")
+    monkeypatch.setattr(oracles, "enumerate_pocs", lambda g, palette, caps: 1)
+    (result,) = selftest.run_selftest("quick").checks
+    assert not result.passed
+    assert result.observed == "chi_poc=3 pocs@3=1 unique=(1, 2, 2, 3) pocs@2=1"
+    assert result.expected == "chi_poc=3 pocs@3=1 unique=(1, 2, 2, 3) pocs@2=0"
 
 
 def test_selftest_theorem1_checks_both_witnesses(monkeypatch):

@@ -1121,6 +1121,17 @@ def test_h_digest_is_pinned():
     )
 
 
+def test_paths_digest_is_pinned():
+    # the witness contracts of longest_path_witness and proper_coloring_exact,
+    # with has_hamiltonian_path, as the digest tool's paths section over every
+    # graph with n <= 4, its first 1 + 2 + 4 + 11 = 18 lines; it changes only
+    # with one of those contracts or with enumerate_graphs' order
+    digest = _digest_tool()
+    assert digest.summarize(itertools.islice(digest.paths_lines(), 18)) == (
+        18, 0, "d25562273dc5726283a2304fa86ccc00609c94bd7667693e63004bddc5032f00"
+    )
+
+
 def _reversed(weights: tuple[int, ...]) -> tuple[int, ...]:
     top = max(weights)
     return tuple(top + 1 - x for x in weights)

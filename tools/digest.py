@@ -28,6 +28,10 @@ oracles agree in value, witness and refusal print the same sections.
 - ``h``: ``h_argmax``, the value and the witness weighting, on every ordered
   tuple of 2 or 3 part sizes in 1..4 with n <= 9, by n, at t = 1..3. All
   under the default caps.
+- ``paths``: one line per graph with ``longest_path_witness``,
+  ``has_hamiltonian_path`` and ``proper_coloring_exact`` (palette and
+  colors), on every graph with n <= 6, then ``PATH_GRAPHS`` G(n, p) graphs
+  seeded with ``SEED``, n <= ``PATH_N``. All under the default caps.
 
 ``tools/digest.expected`` holds this tree's output, so
 ``PYTHONPATH=src python tools/digest.py . | diff - tools/digest.expected``
@@ -51,6 +55,8 @@ GRAPHS = 3000
 SWEEP_GRAPHS = 40
 SWEEP_N = (7, 8)
 CHIPOC_N = 10
+PATH_GRAPHS = 300
+PATH_N = 12
 
 
 def ellprime_lines() -> Iterator[str]:
@@ -144,6 +150,25 @@ def h_lines() -> Iterator[str]:
                         yield run(parts, t)
 
 
+def paths_lines() -> Iterator[str]:
+    """The ``paths`` section, lazily: the graphs with n <= 4 come first."""
+    import pocgraph
+    from pocgraph import oracles
+
+    def run(g: pocgraph.Graph) -> str:  # n <= 12 is within longest_path_n's default
+        coloring = oracles.proper_coloring_exact(g)
+        path = oracles.longest_path_witness(g)
+        return f"{path} {oracles.has_hamiltonian_path(g)} {coloring.palette} {coloring.colors}"
+
+    for n in range(1, 7):
+        for g in oracles.enumerate_graphs(n):
+            yield run(g)
+    rng = random.Random(SEED)
+    for _ in range(PATH_GRAPHS):
+        n = rng.randint(1, PATH_N)
+        yield run(pocgraph.random_weighted_graph(rng, n, rng.random(), 1).graph)
+
+
 def summarize(lines: Iterable[str]) -> tuple[int, int, str]:
     """(lines, refusals, sha256) over one section's lines."""
     digest = hashlib.sha256()
@@ -160,6 +185,7 @@ SECTIONS = {
     "sweeps": sweeps_lines,
     "chipoc": chipoc_lines,
     "h": h_lines,
+    "paths": paths_lines,
 }
 
 
