@@ -1132,6 +1132,19 @@ def test_paths_digest_is_pinned():
     )
 
 
+def test_mocs_digest_is_pinned():
+    # the witness contract of find_max_spaths, "a largest family, then the
+    # fewest components, then the lexicographically least", with g_value and
+    # mocs_coloring, as the digest tool's mocs section over every
+    # part_weightings row of every ordered tuple of part sizes with n <= 4,
+    # its first 265 lines; it changes only with one of those contracts or
+    # with part_weightings' order
+    digest = _digest_tool()
+    assert digest.summarize(itertools.islice(digest.mocs_lines(), 265)) == (
+        265, 0, "da262de9b94b2060aa83e6203ab4516a474c69c7108f0ad6380f57023dc3f6aa"
+    )
+
+
 def _reversed(weights: tuple[int, ...]) -> tuple[int, ...]:
     top = max(weights)
     return tuple(top + 1 - x for x in weights)

@@ -32,6 +32,10 @@ oracles agree in value, witness and refusal print the same sections.
   ``has_hamiltonian_path`` and ``proper_coloring_exact`` (palette and
   colors), on every graph with n <= 6, then ``PATH_GRAPHS`` G(n, p) graphs
   seeded with ``SEED``, n <= ``PATH_N``. All under the default caps.
+- ``mocs``: one line per weighting with ``g_value``, the canonical MOCs'
+  ``find_max_spaths`` paths and their ``mocs_coloring`` colors, on every
+  ``part_weightings`` row of every ordered tuple of 2 or 3 part sizes in 1..4
+  with n <= 8, by n, at t = 1..3.
 
 ``tools/digest.expected`` holds this tree's output, so
 ``PYTHONPATH=src python tools/digest.py . | diff - tools/digest.expected``
@@ -169,6 +173,24 @@ def paths_lines() -> Iterator[str]:
         yield run(pocgraph.random_weighted_graph(rng, n, rng.random(), 1).graph)
 
 
+def mocs_lines() -> Iterator[str]:
+    """The ``mocs`` section, lazily: the part tuples with n <= 4 come first."""
+    from pocgraph import multipartite as mp
+
+    def run(inst: mp.MultipartiteInstance) -> str:
+        mocs = mp.find_mocs(inst)
+        s = mp.find_max_spaths(inst, mocs)
+        return f"{mp.g_value(inst)} {s.paths} {mp.mocs_coloring(inst, mocs, s).colors}"
+
+    for n in range(2, 9):
+        for k in (2, 3):
+            for parts in itertools.product(range(1, 5), repeat=k):
+                if sum(parts) == n:
+                    for t in (1, 2, 3):
+                        for weights in mp.part_weightings(parts, t):
+                            yield run(mp.MultipartiteInstance(parts, weights))
+
+
 def summarize(lines: Iterable[str]) -> tuple[int, int, str]:
     """(lines, refusals, sha256) over one section's lines."""
     digest = hashlib.sha256()
@@ -186,6 +208,7 @@ SECTIONS = {
     "chipoc": chipoc_lines,
     "h": h_lines,
     "paths": paths_lines,
+    "mocs": mocs_lines,
 }
 
 
