@@ -5,8 +5,22 @@ clique H_i per weight value (at most one vertex per part, all of weight i)
 so that the total size is maximum; these are the *maximum ordered cliques*
 (MOCs). Colors can then be saved by locating families of vertex-disjoint
 paths in the complement whose weights step up by exactly one: every such
-path lies inside one part, so its vertices may share a single color. The
-coloring built this way uses exactly
+path lies inside one part, so its vertices may share a single color. A
+path family S for a MOCs follows two rules:
+
+* each path has at least 2 vertices, all clique vertices of one part, with
+  weights a, a+1, ..., b; each interior vertex is the sole member of its
+  clique;
+* the paths are vertex-disjoint, and the weight intervals [a, b] of any two
+  share at most one value.
+
+So each interval covers at least one segment [i, i+1], and no two intervals
+share a segment. Two bounds follow. No clique holds more than 2 path
+vertices: a third interval through value i would share a segment with one of
+the other two. And |V(S)| <= 2t - 2: a path on s segments has s + 1 <= 2s
+vertices, and the paths share none of the t - 1 segments.
+
+The coloring built this way uses exactly
 
     sum |H_i|  -  |V(S)|  +  q(S)
 
@@ -115,9 +129,6 @@ class MocsDecomposition:
     def total_size(self) -> int:
         return sum(len(c) for c in self.cliques)
 
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for c in self.cliques for v in c)
-
 
 @dataclass(frozen=True)
 class SPaths:
@@ -144,28 +155,42 @@ def _require_normalized(inst: MultipartiteInstance) -> None:
 
 
 def validate_mocs(inst: MultipartiteInstance, mocs: MocsDecomposition) -> None:
-    """Raise ValueError unless mocs is a valid ordered-clique family for inst.
+    """Raise ValueError unless mocs is a maximum ordered-clique family for inst.
 
-    Checks weight membership, the one-vertex-per-part clique property, and
-    nonemptiness. Maximality of the total size is by construction here and is
-    cross-checked by brute force in the test suite.
+    Checks weight membership, the one-vertex-per-part clique property,
+    nonemptiness and maximality. A clique of a complete multipartite graph
+    holds at most one vertex per part, so the weight-i clique is largest
+    exactly when it takes a vertex from every part holding weight i.
     """
     _require_normalized(inst)
     if len(mocs.cliques) != inst.t:
         raise ValueError(f"expected {inst.t} cliques, got {len(mocs.cliques)}")
+    filled: set[tuple[int, int]] = set()
     for i, clique in enumerate(mocs.cliques, start=1):
         if not clique:
             raise ValueError(f"clique for weight {i} is empty")
-        parts_seen = set()
         for v in clique:
             if not (1 <= v <= inst.n):
                 raise ValueError(f"vertex {v} out of range")
             if inst.weight(v) != i:
                 raise ValueError(f"vertex {v} has weight {inst.weight(v)}, not {i}")
             p = inst.part_index[v - 1]
-            if p in parts_seen:
+            if (i, p) in filled:
                 raise ValueError(f"clique for weight {i} uses part {p} twice")
-            parts_seen.add(p)
+            filled.add((i, p))
+    missing = set(zip(inst.weights, inst.part_index)) - filled
+    if missing:
+        i, p = min(missing)
+        raise ValueError(f"clique for weight {i} misses part {p}, which holds that weight")
+
+
+def _slot_map(inst: MultipartiteInstance, mocs: MocsDecomposition) -> dict[tuple[int, int], int]:
+    """(weight value, part) -> the clique vertex of mocs in that slot."""
+    return {
+        (value, inst.part_index[v - 1]): v
+        for value, clique in enumerate(mocs.cliques, start=1)
+        for v in clique
+    }
 
 
 def _slots(inst: MultipartiteInstance) -> list[tuple[int, list[int]]]:
@@ -210,14 +235,10 @@ def enumerate_mocs(
 def validate_spaths(
     inst: MultipartiteInstance, mocs: MocsDecomposition, s: SPaths
 ) -> None:
-    """Raise ValueError unless s satisfies the path-family rules for mocs:
-
-    * each path has >= 2 vertices, lies inside one part, steps up in weight by
-      exactly 1, and consists of clique vertices; interior vertices of longer
-      paths must be the sole member of their clique;
-    * paths are vertex-disjoint and any two meet at most one common clique;
-    * every clique hosts at most 2 path vertices; total size is at most 2t-2.
-    """
+    """Raise ValueError unless s follows the path-family rules of the module
+    docstring for mocs. The two bounds stated there, at most 2 path vertices
+    per clique and |V(S)| <= 2t - 2, follow from the rules and are not
+    checked."""
     seen: set[int] = set()
     intervals: list[tuple[int, int]] = []
     for path in s.paths:
@@ -245,26 +266,23 @@ def validate_spaths(
         overlap = min(b1, b2) - max(a1, a2) + 1
         if overlap > 1:
             raise ValueError("two paths meet more than one common clique")
-    for i, clique in enumerate(mocs.cliques, start=1):
-        if sum(1 for v in clique if v in seen) > 2:
-            raise ValueError(f"clique for weight {i} hosts more than 2 path vertices")
-    if s.vertex_count > max(2 * inst.t - 2, 0):
-        raise ValueError(f"path family has {s.vertex_count} > 2t-2 vertices")
 
 
 def find_max_spaths(inst: MultipartiteInstance, mocs: MocsDecomposition) -> SPaths:
     """A largest valid path family for mocs; among those, fewest components;
-    among those, lexicographically least. The empty family is always valid."""
+    among those, lexicographically least. The empty family is always valid.
+
+    Two candidate paths fit together exactly when they share no vertex and no
+    segment [i, i+1] of their weight intervals, so each candidate carries a
+    bit mask of each and the search tests a candidate with two ANDs."""
     validate_mocs(inst, mocs)
     t = inst.t
-    slot: dict[tuple[int, int], int] = {}  # (weight value, part) -> clique vertex
-    for value in range(1, t + 1):
-        for v in mocs.cliques[value - 1]:
-            slot[(value, inst.part_index[v - 1])] = v
-
-    candidates: list[tuple[int, int, int, tuple[int, ...]]] = []  # (a, part, b, vertices)
-    for part in range(inst.k):
-        for a in range(1, t):
+    slot = _slot_map(inst, mocs)
+    # (vertices, segment mask, vertex mask) in (start, part, end) order, the
+    # order a family is reported in: a lower part has lower vertex ids
+    candidates: list[tuple[tuple[int, ...], int, int]] = []
+    for a in range(1, t):
+        for part in range(inst.k):
             if (a, part) not in slot:
                 continue
             for b in range(a + 1, t + 1):
@@ -273,55 +291,31 @@ def find_max_spaths(inst: MultipartiteInstance, mocs: MocsDecomposition) -> SPat
                 if b > a + 1 and len(mocs.cliques[b - 2]) != 1:
                     break  # weight b-1 just became an interior vertex
                 vertices = tuple(slot[(i, part)] for i in range(a, b + 1))
-                candidates.append((a, part, b, vertices))
-    candidates.sort()
+                vbits = sum(1 << v for v in vertices)
+                candidates.append((vertices, (1 << b) - (1 << a), vbits))
 
-    best_key: tuple[int, int, tuple[tuple[int, ...], ...]] | None = None
-    best_paths: tuple[tuple[int, ...], ...] = ()
     suffix_sizes = [0] * (len(candidates) + 1)
     for i in range(len(candidates) - 1, -1, -1):
-        suffix_sizes[i] = suffix_sizes[i + 1] + len(candidates[i][3])
+        suffix_sizes[i] = suffix_sizes[i + 1] + len(candidates[i][0])
+    best: tuple[int, int, tuple[tuple[int, ...], ...]] = (1, 0, ())  # worse than any family
+    chosen: list[tuple[int, ...]] = []
 
-    chosen: list[tuple[int, int, int, tuple[int, ...]]] = []
-
-    def compatible(cand: tuple[int, int, int, tuple[int, ...]]) -> bool:
-        a, part, b, _ = cand
-        cover = [0] * (t + 1)
-        for a2, part2, b2, _ in chosen:
-            overlap = min(b, b2) - max(a, a2) + 1
-            if part2 == part and overlap > 0:
-                return False  # same part: would reuse a clique vertex
-            if overlap > 1:
-                return False
-            for i in range(a2, b2 + 1):
-                cover[i] += 1
-        for i in range(a, b + 1):
-            if cover[i] + 1 > 2:
-                return False
-        return True
-
-    def search(idx: int, total: int) -> None:
-        nonlocal best_key, best_paths
-        if best_key is not None and total + suffix_sizes[idx] < -best_key[0]:
+    def search(idx: int, total: int, used_segs: int, used_vbits: int) -> None:
+        nonlocal best
+        if total + suffix_sizes[idx] < -best[0]:
             return
         if idx == len(candidates):
-            paths = tuple(
-                sorted((c[3] for c in chosen), key=lambda p: (inst.weight(p[0]), p))
-            )
-            key = (-total, len(paths), paths)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_paths = paths
+            best = min(best, (-total, len(chosen), tuple(chosen)))
             return
-        cand = candidates[idx]
-        if compatible(cand):
-            chosen.append(cand)
-            search(idx + 1, total + len(cand[3]))
+        vertices, seg, vbits = candidates[idx]
+        if not (seg & used_segs or vbits & used_vbits):
+            chosen.append(vertices)
+            search(idx + 1, total + len(vertices), used_segs | seg, used_vbits | vbits)
             chosen.pop()
-        search(idx + 1, total)
+        search(idx + 1, total, used_segs, used_vbits)
 
-    search(0, 0)
-    result = SPaths(best_paths)
+    search(0, 0, 0, 0)
+    result = SPaths(best[2])
     validate_spaths(inst, mocs, result)
     return result
 
@@ -333,64 +327,31 @@ def mocs_coloring(
     shared color per path of s, leftover vertices copying a same-weight,
     same-part clique vertex.
 
+    A path takes the top color of its first clique's run. Its interior
+    cliques are singletons, so they add no color, and its last vertex holds
+    the highest color used below its last clique. Each clique's run therefore
+    starts just above the highest color so far.
+
     Uses exactly ``mocs.total_size - s.vertex_count + s.q`` colors; any
     violation of the POC conditions or of that count is an internal error.
     """
     validate_mocs(inst, mocs)
     validate_spaths(inst, mocs, s)
-    t = inst.t
-    paths = sorted(s.paths, key=lambda p: (inst.weight(p[0]), p))
-    path_of: dict[int, int] = {}
-    for idx, path in enumerate(paths):
-        for v in path:
-            path_of[v] = idx
-    path_colored = [False] * len(paths)
+    path_of = {v: path for path in s.paths for v in path}
     colors: dict[int, int] = {}
     highest = 0
+    for clique in mocs.cliques:
+        # an uncolored path vertex is its path's start; it comes last, so its
+        # path takes the top color of the run
+        for v in sorted((v for v in clique if v not in colors), key=lambda v: (v in path_of, v)):
+            highest += 1
+            for u in path_of.get(v, (v,)):
+                colors[u] = highest
 
-    for value in range(1, t + 1):
-        members = sorted(mocs.cliques[value - 1])
-        already = [v for v in members if v in colors]
-        if len(already) > 1:
-            raise AssertionError("two colored path vertices in one clique")
-        if already:
-            # continue the run at the propagated path color
-            base = colors[already[0]]
-            rest = [v for v in members if v not in colors]
-        else:
-            base = highest
-            rest = members
-        # color toward a path start so the next path continues from the top
-        fresh_starts = [v for v in rest if v in path_of]
-        if len(fresh_starts) > 1:
-            raise AssertionError("two path starts in one clique")
-        ordered = [v for v in rest if v not in path_of] + fresh_starts
-        for step, v in enumerate(ordered, start=1):
-            colors[v] = base + step
-        for v in members:
-            if v in path_of and not path_colored[path_of[v]]:
-                path_colored[path_of[v]] = True
-                for u in paths[path_of[v]]:
-                    colors[u] = colors[v]
-        highest = max(highest, max(colors[v] for v in members))
-
-    in_cliques = mocs.covered()
-    for v in range(1, inst.n + 1):
-        if v in in_cliques:
-            continue
-        part = inst.part_index[v - 1]
-        partner = None
-        for u in mocs.cliques[inst.weight(v) - 1]:
-            if inst.part_index[u - 1] == part:
-                partner = u
-                break
-        if partner is None:
-            raise AssertionError(
-                f"no same-part clique vertex of weight {inst.weight(v)} for vertex {v}"
-            )
-        colors[v] = colors[partner]
-
-    body = tuple(colors[v] for v in range(1, inst.n + 1))
+    slot = _slot_map(inst, mocs)  # maps a clique vertex's own slot to itself
+    body = tuple(
+        colors[slot[(inst.weight(v), inst.part_index[v - 1])]] for v in range(1, inst.n + 1)
+    )
     expected = mocs.total_size - s.vertex_count + s.q
     if max(body) != expected:
         raise AssertionError(

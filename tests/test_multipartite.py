@@ -31,6 +31,7 @@ from pocgraph import (
     is_valid_poc,
     mocs_coloring,
     multipartite_upper_bound,
+    validate_mocs,
     validate_spaths,
     weak_orderings,
 )
@@ -60,10 +61,14 @@ def brute_force_max_clique_total(inst: MultipartiteInstance) -> int:
     return total
 
 
-def brute_force_max_spaths_size(inst: MultipartiteInstance, mocs: MocsDecomposition) -> int:
-    """Independent maximality reference for the path family: every weight-sorted
-    vertex subset of every part is a path candidate; subsets of candidates are
-    filtered through the standalone validator."""
+def brute_force_max_spaths(
+    inst: MultipartiteInstance, mocs: MocsDecomposition
+) -> tuple[tuple[int, ...], ...]:
+    """Independent reference for the path family: every weight-sorted vertex
+    subset of every part is a path candidate; subsets of candidates are
+    filtered through the standalone validator. Returns the largest family,
+    then the one with the fewest components, then the lexicographically
+    least, its paths listed light cliques first."""
     candidates = []
     for members in inst.parts:
         for size in range(2, len(members) + 1):
@@ -74,15 +79,16 @@ def brute_force_max_spaths_size(inst: MultipartiteInstance, mocs: MocsDecomposit
                 except ValueError:
                     continue
                 candidates.append(ordered)
-    best = 0
+    keys = []
     for count in range(0, len(candidates) + 1):
         for family in itertools.combinations(candidates, count):
             try:
                 validate_spaths(inst, mocs, SPaths(tuple(family)))
             except ValueError:
                 continue
-            best = max(best, sum(len(p) for p in family))
-    return best
+            paths = tuple(sorted(family, key=lambda p: (inst.weight(p[0]), p)))
+            keys.append((-sum(len(p) for p in paths), len(paths), paths))
+    return min(keys)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +171,20 @@ def test_enumerate_mocs_forced_cases():
     assert len(enumerate_mocs(MultipartiteInstance((2, 2), (1, 2, 1, 2)))) == 1
 
 
+def test_validate_mocs_refuses_a_family_that_is_not_maximum():
+    # H_1 = {1} and H_2 = {2} both skip part 1, which holds both weights; the
+    # family is refused before a path search or a coloring can run on it
+    inst = MultipartiteInstance((2, 2), (1, 2, 1, 2))
+    mocs = MocsDecomposition(((1,), (2,)))
+    message = r"^clique for weight 1 misses part 1, which holds that weight$"
+    with pytest.raises(ValueError, match=message):
+        validate_mocs(inst, mocs)
+    with pytest.raises(ValueError, match=message):
+        find_max_spaths(inst, mocs)
+    with pytest.raises(ValueError, match=message):
+        mocs_coloring(inst, mocs, SPaths(((1, 2),)))
+
+
 def test_enumerate_mocs_cap():
     inst = MultipartiteInstance((3, 3), (1, 1, 1, 1, 1, 1))
     with pytest.raises(CapExceeded, match="mocs_product"):
@@ -181,7 +201,7 @@ def test_find_max_spaths_k135(k135_inst):
     s = find_max_spaths(k135_inst, mocs)
     assert s.paths == ((5, 6, 7), (3, 4))  # reported light cliques first
     assert s.vertex_count == 5 and s.q == 2
-    assert brute_force_max_spaths_size(k135_inst, mocs) == 5
+    assert brute_force_max_spaths(k135_inst, mocs) == s.paths
 
 
 def test_spaths_empty_for_distinct_weight_complete_graph():
@@ -195,7 +215,22 @@ def test_spaths_2x2_instance_takes_single_path():
     mocs = find_mocs(inst)
     s = find_max_spaths(inst, mocs)
     assert s.vertex_count == 2 and s.q == 1
-    assert brute_force_max_spaths_size(inst, mocs) == 2
+    assert brute_force_max_spaths(inst, mocs) == s.paths
+
+
+def test_find_max_spaths_matches_brute_force_on_every_mocs():
+    # the whole witness contract on every MOCs (5 039 of them) of every
+    # weighting of 2 or 3 parts of 1-3 vertices with n <= 7, at t = 2 and 3
+    for k in (2, 3):
+        for sizes in itertools.combinations_with_replacement((1, 2, 3), k):
+            if sum(sizes) > 7:
+                continue
+            for t in (2, 3):
+                for weights in part_weightings(sizes, t):
+                    inst = MultipartiteInstance(sizes, weights)
+                    for mocs in enumerate_mocs(inst):
+                        expected = brute_force_max_spaths(inst, mocs)
+                        assert find_max_spaths(inst, mocs).paths == expected, mocs
 
 
 def test_validate_spaths_rejections(k135_inst):
@@ -214,6 +249,11 @@ def test_validate_spaths_rejections(k135_inst):
             MocsDecomposition(((1, 2, 5), (6,), (3, 7), (4, 8))),
             SPaths(((3, 4), (7, 8))),  # disjoint but share cliques H_3 and H_4
         )
+    k333 = MultipartiteInstance((3, 3, 3), (1, 2, 3) * 3)
+    with pytest.raises(ValueError, match="more than one common clique"):
+        # 3 path vertices in H_1 and 6 > 2t - 2 in all: both bounds follow
+        # from the rule that two paths meet at most one common clique
+        validate_spaths(k333, find_mocs(k333), SPaths(((1, 2), (4, 5), (7, 8))))
     with pytest.raises(ValueError, match="used by two paths"):
         validate_spaths(
             k135_inst,
